@@ -2,18 +2,14 @@
 // hammering Stage::Submit() and measuring decisions/sec plus the
 // Submit -> enqueue latency distribution, swept over the number of
 // registered query types (1 / 8 / 64 / 512) and all study policies.
-//
-// The interesting comparison is Bouncer vs Bouncer(rescan): the latter
-// disables the O(1) incremental Eq. 2 aggregate and rescans every
-// per-type histogram per decision — the pre-optimization behavior —
-// which degrades linearly in the number of types while the default stays
-// flat. Results are printed as a table and written to
+// Bouncer's O(1) incremental Eq. 2 aggregate keeps its cost flat in the
+// number of types. Results are printed as a table and written to
 // BENCH_admission_throughput.json.
 //
 // A second sweep prices the shared-nothing execution core: a submitter
 // x {sharded, single-queue} grid over the Bouncer policy at 512 types,
-// where "single-queue" forces the pre-sharding one-global-FIFO core
-// (Stage::Options::force_single_queue) and "sharded" runs per-worker
+// where "single-queue" runs the pre-sharding one-global-FIFO core
+// (Stage::Options::num_run_queues = 1) and "sharded" runs per-worker
 // run queues with striped admission counters. Invoked as
 // `bench_admission_throughput --guard` it instead runs just that pair
 // best-of-3 and fails (exit 1) when sharded falls below
@@ -23,12 +19,9 @@
 //
 // A third sweep prices the high-cardinality tenant dimension: a tenant
 // ladder (1 / 100 / 1k / 10k / 100k tenants, uniform draw per submit)
-// over Bouncer wrapped in TenantFairPolicy, A/B between the flat-indexed
-// PolicyStateTable slab and the shared-lock unordered_map baseline
-// (Options::use_map_baseline). The acceptance bar: the flat slab's
-// per-decision cost at 10k tenants stays within ~1.15x of the
-// single-tenant cell and beats the map baseline. --guard also runs a
-// 10k-tenant flat-vs-map rung under the same threshold env var.
+// over Bouncer wrapped in TenantFairPolicy and its flat-indexed
+// PolicyStateTable. The acceptance bar: the per-decision cost at 10k
+// tenants stays within ~1.15x of the single-tenant cell.
 
 #include <chrono>
 #include <cstdio>
@@ -72,12 +65,6 @@ std::vector<Variant> MakeVariants() {
     v.config = MakeStudyPolicy(kind);
     variants.push_back(std::move(v));
   }
-  // The pre-optimization Bouncer: every estimate rescans all types.
-  Variant rescan;
-  rescan.name = "Bouncer(rescan)";
-  rescan.config = MakeStudyPolicy(PolicyKind::kBouncer);
-  rescan.config.bouncer.incremental_estimate = false;
-  variants.push_back(std::move(rescan));
   return variants;
 }
 
@@ -104,8 +91,7 @@ struct CellResult {
   size_t num_tenants = 0;  ///< 0 = tenant dimension off.
   size_t submitters = kSubmitters;
   size_t workers = 0;
-  int single_queue = 0;  ///< force_single_queue (pre-sharding core).
-  int tenant_map = 0;    ///< unordered_map A/B baseline for tenant state.
+  int single_queue = 0;  ///< One run queue (pre-sharding core).
   int tracing = 0;       ///< Flight recorder enabled (1-in-64 sampling).
   double seconds = 0;
   uint64_t decisions = 0;
@@ -126,8 +112,7 @@ struct CellParams {
   size_t num_tenants = 0;
   size_t submitters = kSubmitters;
   size_t workers = 0;  ///< 0 = BenchWorkers().
-  bool force_single_queue = false;
-  bool tenant_map_baseline = false;
+  bool single_queue = false;
   bool tracing = false;
 };
 
@@ -146,7 +131,7 @@ CellResult RunCell(const Variant& variant, Nanos duration,
   options.name = "bench";
   options.num_workers = params.workers == 0 ? BenchWorkers() : params.workers;
   options.queue_capacity = 1 << 15;
-  options.force_single_queue = params.force_single_queue;
+  if (params.single_queue) options.num_run_queues = 1;
   // Cell-local recorder so the tracing column prices exactly the trace
   // sites (default 1-in-64 sampling), not a shared global's ring state.
   stats::FlightRecorder recorder;
@@ -164,10 +149,7 @@ CellResult RunCell(const Variant& variant, Nanos duration,
     options.tenants = &tenant_registry;
   }
   PolicyConfig config = variant.config;
-  if (params.num_tenants > 0) {
-    config.tenant_fair = true;
-    config.tenant_fair_options.use_map_baseline = params.tenant_map_baseline;
-  }
+  if (params.num_tenants > 0) config.tenant_fair = true;
   server::Stage stage(
       options, &registry, SystemClock::Global(),
       [&config](const PolicyContext& context) {
@@ -243,8 +225,7 @@ CellResult RunCell(const Variant& variant, Nanos duration,
   r.num_tenants = params.num_tenants;
   r.submitters = params.submitters;
   r.workers = options.num_workers;
-  r.single_queue = params.force_single_queue ? 1 : 0;
-  r.tenant_map = params.tenant_map_baseline ? 1 : 0;
+  r.single_queue = params.single_queue ? 1 : 0;
   r.tracing = params.tracing ? 1 : 0;
   r.seconds = std::chrono::duration<double>(bench_end - bench_start).count();
   r.decisions = decisions.load();
@@ -268,7 +249,7 @@ void WriteCells(std::FILE* f, const std::vector<CellResult>& results) {
         f,
         "    {\"policy\": \"%s\", \"num_types\": %zu, "
         "\"num_tenants\": %zu, \"submitters\": %zu, "
-        "\"workers\": %zu, \"single_queue\": %d, \"tenant_map\": %d, "
+        "\"workers\": %zu, \"single_queue\": %d, "
         "\"tracing\": %d, "
         "\"seconds\": %.3f, \"decisions\": %llu, "
         "\"decisions_per_sec\": %.0f, \"submit_mean_ns\": %lld, "
@@ -276,7 +257,7 @@ void WriteCells(std::FILE* f, const std::vector<CellResult>& results) {
         "\"submit_p99_ns\": %lld, \"accepted\": %llu, "
         "\"rejected\": %llu, \"shedded\": %llu}%s\n",
         r.policy.c_str(), r.num_types, r.num_tenants, r.submitters,
-        r.workers, r.single_queue, r.tenant_map, r.tracing, r.seconds,
+        r.workers, r.single_queue, r.tracing, r.seconds,
         static_cast<unsigned long long>(r.decisions),
         r.decisions_per_sec, static_cast<long long>(r.submit_mean),
         static_cast<long long>(r.submit_p50),
@@ -353,30 +334,15 @@ int RunGuard(Nanos duration) {
   CellParams core_params;
   core_params.num_types = 512;
   core_params.submitters = kSubmitters;
-  core_params.force_single_queue = false;
+  core_params.single_queue = false;
   const CellResult sharded = best_of_3(core_params);
-  core_params.force_single_queue = true;
+  core_params.single_queue = true;
   const CellResult single = best_of_3(core_params);
   const double ratio = single.decisions_per_sec > 0
                            ? sharded.decisions_per_sec /
                                  single.decisions_per_sec
                            : 0;
 
-  // The 10k-tenant rung: flat-indexed tenant state vs the unordered_map
-  // baseline under the same threshold. Flat should win outright; the
-  // sub-1.0 threshold only absorbs scheduler noise on starved hosts.
-  CellParams tenant_params;
-  tenant_params.num_types = 8;
-  tenant_params.num_tenants = 10'000;
-  tenant_params.submitters = kSubmitters;
-  tenant_params.tenant_map_baseline = false;
-  const CellResult tenant_flat = best_of_3(tenant_params);
-  tenant_params.tenant_map_baseline = true;
-  const CellResult tenant_map = best_of_3(tenant_params);
-  const double tenant_ratio = tenant_map.decisions_per_sec > 0
-                                  ? tenant_flat.decisions_per_sec /
-                                        tenant_map.decisions_per_sec
-                                  : 0;
 
   std::printf("%-24s %9s %9s %10s %12s\n", "cell", "types", "tenants",
               "submitters", "decisions/s");
@@ -387,15 +353,7 @@ int RunGuard(Nanos duration) {
   std::printf("%-24s %9zu %9zu %10zu %12.0f\n", "single-queue",
               single.num_types, single.num_tenants, single.submitters,
               single.decisions_per_sec);
-  std::printf("%-24s %9zu %9zu %10zu %12.0f\n", "tenant-flat",
-              tenant_flat.num_types, tenant_flat.num_tenants,
-              tenant_flat.submitters, tenant_flat.decisions_per_sec);
-  std::printf("%-24s %9zu %9zu %10zu %12.0f\n", "tenant-map",
-              tenant_map.num_types, tenant_map.num_tenants,
-              tenant_map.submitters, tenant_map.decisions_per_sec);
   std::printf("sharded/single-queue = %.3fx (min %.3fx)\n", ratio, min_ratio);
-  std::printf("tenant flat/map at 10k = %.3fx (min %.3fx)\n", tenant_ratio,
-              min_ratio);
 
   std::FILE* f = std::fopen("BENCH_admission_guard.json", "w");
   if (f != nullptr) {
@@ -403,10 +361,9 @@ int RunGuard(Nanos duration) {
     WriteHostJsonFields(f);
     std::fprintf(f, "  \"min_ratio\": %.3f, \"ratio\": %.3f,\n", min_ratio,
                  ratio);
-    std::fprintf(f, "  \"tenant_ratio\": %.3f,\n", tenant_ratio);
     std::fprintf(f, "  \"core_starved\": %s,\n",
                  core_starved ? "true" : "false");
-    WriteCells(f, {sharded, single, tenant_flat, tenant_map});
+    WriteCells(f, {sharded, single});
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote BENCH_admission_guard.json\n");
@@ -417,13 +374,6 @@ int RunGuard(Nanos duration) {
                  "FAIL: sharded execution core at %.3fx of single-queue "
                  "(threshold %.3fx)\n",
                  ratio, min_ratio);
-    return 1;
-  }
-  if (tenant_ratio < min_ratio) {
-    std::fprintf(stderr,
-                 "FAIL: flat tenant state at %.3fx of the map baseline "
-                 "(threshold %.3fx)\n",
-                 tenant_ratio, min_ratio);
     return 1;
   }
   std::printf("guard OK\n");
@@ -511,7 +461,7 @@ int Main(int argc, char** argv) {
       CellParams params;
       params.num_types = 512;
       params.submitters = submitters;
-      params.force_single_queue = single_queue;
+      params.single_queue = single_queue;
       const CellResult r = RunCell(grid_variant, duration, params);
       std::printf("%-24s %9zu %10zu %12.0f %12lld\n",
                   single_queue ? "single-queue" : "sharded", r.num_types,
@@ -523,9 +473,8 @@ int Main(int argc, char** argv) {
   PrintRule(94);
 
   // Tenant ladder: Bouncer + TenantFairPolicy over a growing tenant
-  // population, flat slab vs unordered_map A/B. The flat column should
-  // stay near-flat up the ladder (O(1) addressing, one cache line per
-  // tenant); the map column pays the shared lock and pointer chase.
+  // population. The per-decision cost should stay near-flat up the
+  // ladder (O(1) addressing, one cache line per tenant).
   const std::vector<size_t> tenant_counts =
       BenchScale() == 0 ? std::vector<size_t>{1, 10'000}
                         : std::vector<size_t>{1, 100, 1'000, 10'000, 100'000};
@@ -533,40 +482,20 @@ int Main(int argc, char** argv) {
               "decisions/s", "mean_ns", "p99_ns");
   PrintRule(94);
   for (const size_t num_tenants : tenant_counts) {
-    for (const bool map_baseline : {false, true}) {
-      CellParams params;
-      params.num_types = 8;
-      params.num_tenants = num_tenants;
-      params.tenant_map_baseline = map_baseline;
-      const CellResult r = RunCell(grid_variant, duration, params);
-      std::printf("%-24s %9zu %12.0f %12lld %10lld\n",
-                  map_baseline ? "map" : "flat", r.num_tenants,
-                  r.decisions_per_sec, static_cast<long long>(r.submit_mean),
-                  static_cast<long long>(r.submit_p99));
-      results.push_back(r);
-    }
+    CellParams params;
+    params.num_types = 8;
+    params.num_tenants = num_tenants;
+    const CellResult r = RunCell(grid_variant, duration, params);
+    std::printf("%-24s %9zu %12.0f %12lld %10lld\n", "flat", r.num_tenants,
+                r.decisions_per_sec, static_cast<long long>(r.submit_mean),
+                static_cast<long long>(r.submit_p99));
+    results.push_back(r);
   }
   PrintRule(94);
 
   WriteJson(results);
   std::printf("wrote BENCH_admission_throughput.json\n");
 
-  // Headline ratio: incremental vs rescan Bouncer at the largest sweep
-  // points (the acceptance bar for this optimization is >= 3x at 64+).
-  for (const size_t n : type_counts) {
-    double fast = 0, slow = 0;
-    for (const CellResult& r : results) {
-      if (r.num_types != n || r.submitters != kSubmitters ||
-          r.single_queue != 0) {
-        continue;
-      }
-      if (r.policy == "Bouncer") fast = r.decisions_per_sec;
-      if (r.policy == "Bouncer(rescan)") slow = r.decisions_per_sec;
-    }
-    if (fast > 0 && slow > 0) {
-      std::printf("types=%zu: incremental/rescan = %.2fx\n", n, fast / slow);
-    }
-  }
   // Execution-core headline: sharded vs single-queue at max submitters.
   {
     double sharded = 0, single = 0;
@@ -581,27 +510,16 @@ int Main(int argc, char** argv) {
                   kSubmitters, sharded / single);
     }
   }
-  // Tenant-ladder headlines: flat vs map throughput per rung, and the
-  // flat slab's per-decision cost at 10k tenants relative to the
-  // single-tenant cell (the <= ~1.15x cardinality-proofness bar).
+  // Tenant-ladder headline: the flat slab's per-decision cost at 10k
+  // tenants relative to the single-tenant cell (the <= ~1.15x
+  // cardinality-proofness bar).
   {
     double flat_mean_1 = 0, flat_mean_10k = 0;
-    for (const size_t n : tenant_counts) {
-      double flat = 0, map = 0;
-      for (const CellResult& r : results) {
-        if (r.num_tenants != n || r.num_types != 8 || r.tracing != 0) {
-          continue;
-        }
-        if (r.tenant_map == 0) {
-          flat = r.decisions_per_sec;
-          if (n == 1) flat_mean_1 = static_cast<double>(r.submit_mean);
-          if (n == 10'000) flat_mean_10k = static_cast<double>(r.submit_mean);
-        } else {
-          map = r.decisions_per_sec;
-        }
-      }
-      if (flat > 0 && map > 0) {
-        std::printf("tenants=%zu: flat/map = %.2fx\n", n, flat / map);
+    for (const CellResult& r : results) {
+      if (r.num_types != 8 || r.tracing != 0) continue;
+      if (r.num_tenants == 1) flat_mean_1 = static_cast<double>(r.submit_mean);
+      if (r.num_tenants == 10'000) {
+        flat_mean_10k = static_cast<double>(r.submit_mean);
       }
     }
     if (flat_mean_1 > 0 && flat_mean_10k > 0) {

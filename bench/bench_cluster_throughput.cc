@@ -1,12 +1,12 @@
 // Real-cluster scatter-gather throughput: a closed-loop driver keeps a
 // fixed window of queries in flight against the in-process broker/shard
 // cluster and measures sustained completions/sec plus the end-to-end
-// latency distribution, comparing the pooled/async scatter-gather hot
-// path against the pre-optimization legacy path (Options::legacy_scatter)
-// at the real-study topology, and sweeping broker/shard worker counts at
-// larger scales. Both tiers run AlwaysAccept so the bench measures the
-// data path, not admission behavior. Results are printed as a table and
-// written to BENCH_cluster_throughput.json.
+// latency distribution, comparing the sharded execution core against the
+// single-run-queue core (Options::force_single_queue) at the real-study
+// topology, and sweeping broker/shard worker counts at larger scales.
+// Both tiers run AlwaysAccept so the bench measures the data path, not
+// admission behavior. Results are printed as a table and written to
+// BENCH_cluster_throughput.json.
 
 #include <atomic>
 #include <chrono>
@@ -86,20 +86,17 @@ void BenchState::SubmitNext() {
       });
 }
 
-/// One benched cluster configuration. "legacy" restores the blocking
-/// scatter-gather, "fast-1q" keeps the pooled/async path but forces the
-/// pre-sharding single-run-queue execution core, "fast" is the default
-/// (per-worker run queues with stealing + striped counters).
+/// One benched cluster configuration. "fast-1q" forces the pre-sharding
+/// single-run-queue execution core, "fast" is the default (per-worker
+/// run queues with stealing + striped counters).
 struct Variant {
   const char* name;
-  bool legacy_scatter;
   bool force_single_queue;
 };
 
 constexpr Variant kVariants[] = {
-    {"legacy", true, false},
-    {"fast-1q", false, true},
-    {"fast", false, false},
+    {"fast-1q", true},
+    {"fast", false},
 };
 
 CellResult RunCell(const GraphStore& graph_store, const Variant& variant,
@@ -121,7 +118,6 @@ CellResult RunCell(const GraphStore& graph_store, const Variant& variant,
   options.shard_queue_capacity = 1 << 15;
   options.broker_policy.kind = PolicyKind::kAlwaysAccept;
   options.shard_policy.kind = PolicyKind::kAlwaysAccept;
-  options.legacy_scatter = variant.legacy_scatter;
   options.force_single_queue = variant.force_single_queue;
   Cluster cluster(&graph_store, &registry, SystemClock::Global(), options);
   if (!cluster.Start().ok()) {
@@ -192,8 +188,8 @@ void WriteJson(const std::vector<CellResult>& results) {
 
 int Main() {
   PrintPreamble("bench_cluster_throughput",
-                "closed-loop broker/shard cluster throughput, pooled/async "
-                "vs legacy scatter-gather");
+                "closed-loop broker/shard cluster throughput, sharded vs "
+                "single-queue execution core");
   const RealStudyParams params = DefaultRealParams();
   const GraphStore& graph_store = SharedGraph(params);
 
@@ -219,7 +215,7 @@ int Main() {
   }
 
   // (broker_workers, shard_workers) sweep; the first point is the
-  // real-study topology and the headline fast-vs-legacy comparison.
+  // real-study topology and the headline comparison.
   std::vector<std::pair<size_t, size_t>> grid = {{4, 1}};
   if (BenchScale() >= 1) {
     grid.push_back({2, 1});
@@ -248,17 +244,13 @@ int Main() {
   WriteJson(results);
   std::printf("wrote BENCH_cluster_throughput.json\n");
 
-  // Headline ratios at the real-study topology (fast/legacy acceptance
-  // bar: >= 2x; fast/fast-1q isolates the execution-core sharding).
-  double fast = 0, slow = 0, single_queue = 0;
+  // Headline ratio at the real-study topology: fast/fast-1q isolates the
+  // execution-core sharding.
+  double fast = 0, single_queue = 0;
   for (const CellResult& r : results) {
     if (r.broker_workers != 4 || r.shard_workers != 1) continue;
     if (r.variant == "fast") fast = r.qps;
     if (r.variant == "fast-1q") single_queue = r.qps;
-    if (r.variant == "legacy") slow = r.qps;
-  }
-  if (slow > 0) {
-    std::printf("default topology: fast/legacy = %.2fx\n", fast / slow);
   }
   if (single_queue > 0) {
     std::printf("default topology: sharded/single-queue = %.2fx\n",

@@ -3,13 +3,12 @@
 // discrete-event engine sustains, and how the experiment grid scales
 // across cores.
 //
-// Part (a) runs one simulation cell per configuration and compares the
-// FIFO ring fast path against the generic heap-backed queue (same
-// discipline, forced via SimulationConfig::force_heap_queue), the other
-// disciplines, and the three stats modes. Part (b) runs the full
-// (policy × load-factor × seed) study grid through sim::RunJobs serially
-// and with BOUNCER_BENCH_JOBS workers and reports the wall-clock
-// speedup, checking the parallel results are bit-identical to serial.
+// Part (a) runs one simulation cell per configuration: the FIFO ring
+// under the three stats modes and the heap-backed queue of the other
+// disciplines. Part (b) runs the full (policy × load-factor × seed)
+// study grid through sim::RunJobs serially and with BOUNCER_BENCH_JOBS
+// workers and reports the wall-clock speedup, checking the parallel
+// results are bit-identical to serial.
 // Results are written to BENCH_sim_throughput.json.
 
 #include <chrono>
@@ -123,8 +122,8 @@ bool Identical(const std::vector<sim::SimulationResult>& a,
 
 int main() {
   PrintPreamble("bench_sim_throughput",
-                "simulated events/sec: FIFO ring vs heap queue, stats "
-                "modes, disciplines; serial vs parallel grid");
+                "simulated events/sec: stats modes, disciplines; serial "
+                "vs parallel grid");
   const auto workload = workload::PaperSimulationWorkload();
   const auto params = DefaultStudyParams();
 
@@ -138,22 +137,19 @@ int main() {
   struct CellSpec {
     const char* label;
     sim::QueueDiscipline discipline;
-    bool force_heap;
     sim::StatsMode stats;
     std::vector<int> priorities;
   };
   const std::vector<CellSpec> specs = {
-      {"fifo_ring/exact", sim::QueueDiscipline::kFifo, false,
+      {"fifo_ring/exact", sim::QueueDiscipline::kFifo,
        sim::StatsMode::kExactSamples, {}},
-      {"fifo_heap/exact", sim::QueueDiscipline::kFifo, true,
-       sim::StatsMode::kExactSamples, {}},
-      {"fifo_ring/streaming", sim::QueueDiscipline::kFifo, false,
+      {"fifo_ring/streaming", sim::QueueDiscipline::kFifo,
        sim::StatsMode::kStreamingSummary, {}},
-      {"fifo_ring/none", sim::QueueDiscipline::kFifo, false,
-       sim::StatsMode::kNone, {}},
-      {"sjf_heap/exact", sim::QueueDiscipline::kShortestJobFirst, false,
+      {"fifo_ring/none", sim::QueueDiscipline::kFifo, sim::StatsMode::kNone,
+       {}},
+      {"sjf_heap/exact", sim::QueueDiscipline::kShortestJobFirst,
        sim::StatsMode::kExactSamples, {}},
-      {"priority_heap/exact", sim::QueueDiscipline::kPriority, false,
+      {"priority_heap/exact", sim::QueueDiscipline::kPriority,
        sim::StatsMode::kExactSamples, {3, 2, 1, 0}},
   };
 
@@ -166,7 +162,6 @@ int main() {
   for (const CellSpec& spec : specs) {
     sim::SimulationConfig config = base;
     config.discipline = spec.discipline;
-    config.force_heap_queue = spec.force_heap;
     config.stats_mode = spec.stats;
     config.type_priorities = spec.priorities;
     cells.push_back(RunCell(spec.label, workload, config, bouncer));
@@ -174,14 +169,6 @@ int main() {
     std::printf("%-24s %10.3f %12llu %14.0f %10llu\n", r.label.c_str(),
                 r.seconds, static_cast<unsigned long long>(r.events),
                 r.events_per_sec, static_cast<unsigned long long>(r.rejected));
-  }
-  if (cells[0].events == cells[1].events &&
-      cells[0].rejected == cells[1].rejected) {
-    std::printf("fifo ring vs heap: identical outcomes, ring %.2fx "
-                "events/sec\n",
-                cells[0].events_per_sec / cells[1].events_per_sec);
-  } else {
-    std::printf("fifo ring vs heap: OUTCOME MISMATCH (bug!)\n");
   }
 
   // (b) The study grid (every policy x load factor x seed) through the

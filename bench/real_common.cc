@@ -158,7 +158,7 @@ RealCell RunRealCell(const RealStudyParams& params,
   generator_options.duration = params.warmup + params.measure;
   generator_options.seed = 99;
   workload::LoadGenerator generator(
-      &mix, generator_options, [&](size_t type_index) {
+      &mix, generator_options, [&](size_t type_index, Nanos) {
         const GraphQuery query = Cluster::SampleQuery(
             static_cast<GraphOp>(type_index), graph_store, query_rng);
         cluster.Submit(query, /*deadline=*/0,

@@ -48,9 +48,6 @@ void PrintHelp() {
       "                      instead of the in-process surge demo\n"
       "  --serve-seconds=N   with --listen: stop after N s (0 = until "
       "SIGINT)\n"
-      "  --batch-submit=0|1  with --listen: drain each epoll wakeup "
-      "through\n"
-      "                      one SubmitBatch admission pass (default 1)\n"
       "  --loops=N           with --listen: event loops / SO_REUSEPORT\n"
       "                      listeners (default 0 = min(cores, 4))\n"
       "  --backend=KIND      with --listen: event-loop backend — auto,\n"
@@ -102,7 +99,6 @@ int main(int argc, char** argv) {
   const bool listen_mode = flags.Has("listen");
   const auto listen_port = static_cast<uint16_t>(flags.GetUint("listen", 0));
   const auto serve_seconds = flags.GetUint("serve-seconds", 0);
-  const bool batch_submit = flags.GetBool("batch-submit", true);
   const auto num_loops = flags.GetUint("loops", 0);
   const net::NetBackend backend =
       flags.GetBackend("backend", net::NetBackend::kAuto);
@@ -191,7 +187,6 @@ int main(int argc, char** argv) {
   if (listen_mode) {
     net::NetServer::Options server_options;
     server_options.port = listen_port;
-    server_options.batch_submit = batch_submit;
     server_options.num_loops = num_loops;
     server_options.backend = backend;
     server_options.metrics = &metric_registry;
@@ -204,11 +199,9 @@ int main(int argc, char** argv) {
     }
     std::signal(SIGINT, OnSignal);
     std::signal(SIGTERM, OnSignal);
-    std::printf("listening on %s:%u (%s backend, %s admission, %zu "
-                "loop%s%s)\n",
+    std::printf("listening on %s:%u (%s backend, %zu loop%s%s)\n",
                 server_options.bind_address.c_str(), server.port(),
-                net::NetBackendName(server.backend()),
-                batch_submit ? "batched" : "per-query", server.num_loops(),
+                net::NetBackendName(server.backend()), server.num_loops(),
                 server.num_loops() == 1 ? "" : "s",
                 server.handoff_mode() ? ", fd-handoff fallback" : "");
     if (!server.backend_fallback_reason().empty()) {
@@ -301,7 +294,7 @@ int main(int argc, char** argv) {
     generator_options.duration =
         phase.label[0] == 'w' ? 5 * kSecond : phase_duration;
     workload::LoadGenerator generator(
-        &mix, generator_options, [&](size_t type_index) {
+        &mix, generator_options, [&](size_t type_index, Nanos) {
           const GraphQuery query = Cluster::SampleQuery(
               static_cast<GraphOp>(type_index), graph, query_rng);
           cluster.Submit(query, /*deadline=*/0,

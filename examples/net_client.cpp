@@ -217,12 +217,12 @@ int main(int argc, char** argv) {
     generator_options.duration = static_cast<Nanos>(duration_s) * kSecond;
     generator_options.seed = seed;
     workload::LoadGenerator generator(&mix, generator_options,
-                                      [&](size_t type_index) {
+                                      [&](size_t type_index, Nanos due) {
                                         net::RequestFrame frame =
                                             make_frame(open_rng);
                                         frame.op =
                                             static_cast<uint8_t>(type_index);
-                                        client.TrySend(frame);
+                                        client.TrySend(frame, due);
                                       });
     generator.Run();
   }

@@ -186,7 +186,6 @@ Nanos BouncerPolicy::EstimateQueueWaitSlow(QueryTypeId type) const {
 
 Nanos BouncerPolicy::EstimateQueueWait(QueryTypeId type) const {
   if (type >= type_histograms_.size()) type = kDefaultQueryType;
-  if (!options_.incremental_estimate) return EstimateQueueWaitSlow(type);
   // Out-of-band queue mutation (tests and tools drive QueueState without
   // the policy hooks) shows up as a count mismatch: answer exactly via
   // the rescan until a rebuild re-syncs the aggregates.

@@ -68,11 +68,6 @@ class BouncerPolicy : public AdmissionPolicy {
     /// level). Missing entries default to priority 0. Leave empty for
     /// the paper's FIFO formulation.
     std::vector<int> type_priorities;
-    /// Use the O(1) incrementally-maintained Eq. 2 aggregate on the
-    /// decision path (default). When false, every estimate rescans all
-    /// per-type histograms — the pre-optimization behavior, kept
-    /// selectable so benchmarks can measure the difference.
-    bool incremental_estimate = true;
     /// Debug aid: cross-check every fast-path estimate against the full
     /// rescan and assert equality. Only meaningful in quiescent or
     /// single-threaded use (under concurrency the two can legitimately
@@ -130,9 +125,9 @@ class BouncerPolicy : public AdmissionPolicy {
   Nanos EstimateQueueWait(QueryTypeId type = kDefaultQueryType) const;
 
   /// Reference O(num_types) Eq. 2 implementation: rescans every per-type
-  /// histogram summary and queue count. This is the pre-optimization
-  /// decision path, kept as the fallback for out-of-band queue mutation
-  /// and as the cross-check oracle for the incremental aggregate.
+  /// histogram summary and queue count. The fallback for out-of-band
+  /// queue mutation and the cross-check oracle for the incremental
+  /// aggregate.
   Nanos EstimateQueueWaitSlow(QueryTypeId type = kDefaultQueryType) const;
 
   /// Published processing-time summary for a type (for observability).

@@ -5,10 +5,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 
 #include "src/core/types.h"
 
@@ -107,50 +103,6 @@ class PolicyStateTable {
   const size_t num_types_;
   const size_t base_;
   std::array<std::atomic<Cell*>, kMaxChunks> chunks_{};
-};
-
-/// The A/B baseline the flat slab is benchmarked against: the naive
-/// per-(tenant, type) state keyed through a shared `std::unordered_map`
-/// under a reader-writer lock — what "just add a tenant key" would have
-/// done to the admission path. Cells are heap nodes so references stay
-/// valid across rehashes. Kept deliberately straightforward.
-template <typename Cell>
-class MapPolicyStateTable {
- public:
-  explicit MapPolicyStateTable(size_t num_types)
-      : num_types_(num_types < 1 ? 1 : num_types) {}
-
-  MapPolicyStateTable(const MapPolicyStateTable&) = delete;
-  MapPolicyStateTable& operator=(const MapPolicyStateTable&) = delete;
-
-  Cell& At(TenantId tenant, size_t type = 0) {
-    const uint64_t key =
-        static_cast<uint64_t>(tenant) * num_types_ + type;
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      auto it = cells_.find(key);
-      if (it != cells_.end()) return *it->second;
-    }
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    auto [it, inserted] = cells_.try_emplace(key);
-    if (inserted) it->second = std::make_unique<Cell>();
-    return *it->second;
-  }
-
-  const Cell* Find(TenantId tenant, size_t type = 0) const {
-    const uint64_t key =
-        static_cast<uint64_t>(tenant) * num_types_ + type;
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = cells_.find(key);
-    return it == cells_.end() ? nullptr : it->second.get();
-  }
-
-  size_t num_types() const { return num_types_; }
-
- private:
-  const size_t num_types_;
-  mutable std::shared_mutex mu_;
-  std::unordered_map<uint64_t, std::unique_ptr<Cell>> cells_;
 };
 
 }  // namespace bouncer

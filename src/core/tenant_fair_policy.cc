@@ -17,11 +17,6 @@ TenantFairPolicy::TenantFairPolicy(std::unique_ptr<AdmissionPolicy> inner,
   assert(tenants_ != nullptr);
   assert(queue_ != nullptr);
   name_ = std::string(inner_->name()) + "+TenantFair";
-  if (options_.use_map_baseline) {
-    map_ = std::make_unique<MapPolicyStateTable<Cell>>(/*num_types=*/1);
-  } else {
-    flat_ = std::make_unique<PolicyStateTable<Cell>>(/*num_types=*/1);
-  }
   active_weight_.store(tenants_->TotalWeight(), std::memory_order_relaxed);
 }
 
@@ -81,7 +76,7 @@ void TenantFairPolicy::MaybeRefreshAggregates(Nanos now) {
   double weight = 0.0;
   double admitted = 0.0;
   for (size_t t = 0; t < n; ++t) {
-    const Cell* cell = FindState(static_cast<TenantId>(t));
+    const Cell* cell = cells_.Find(static_cast<TenantId>(t));
     if (cell == nullptr) continue;
     // Stale cells (tenant idle for > a window) read as 0 after their
     // next rotation; counting them once more here only smooths the
@@ -102,7 +97,7 @@ void TenantFairPolicy::MaybeRefreshAggregates(Nanos now) {
 }
 
 Decision TenantFairPolicy::Decide(WorkKey key, Nanos now) {
-  Cell& cell = StateFor(key.tenant);
+  Cell& cell = cells_.At(key.tenant);
   RotateTo(cell, now);
   MaybeRefreshAggregates(now);
 
@@ -164,20 +159,20 @@ Decision TenantFairPolicy::Decide(WorkKey key, Nanos now) {
 
 void TenantFairPolicy::OnEnqueued(WorkKey key, Nanos now) {
   if (options_.flood_guard_limit > 0) {
-    StateFor(key.tenant).queued.fetch_add(1, std::memory_order_relaxed);
+    cells_.At(key.tenant).queued.fetch_add(1, std::memory_order_relaxed);
   }
   inner_->OnEnqueued(key, now);
 }
 
 void TenantFairPolicy::OnDequeued(WorkKey key, Nanos wait_time, Nanos now) {
   if (options_.flood_guard_limit > 0) {
-    StateFor(key.tenant).queued.fetch_sub(1, std::memory_order_relaxed);
+    cells_.At(key.tenant).queued.fetch_sub(1, std::memory_order_relaxed);
   }
   inner_->OnDequeued(key, wait_time, now);
 }
 
 void TenantFairPolicy::OnShedded(WorkKey key, Nanos now) {
-  Cell& cell = StateFor(key.tenant);
+  Cell& cell = cells_.At(key.tenant);
   if (options_.flood_guard_limit > 0) {
     cell.queued.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -191,7 +186,7 @@ void TenantFairPolicy::OnShedded(WorkKey key, Nanos now) {
 TenantFairPolicy::TenantSnapshot TenantFairPolicy::Snapshot(
     TenantId tenant) const {
   TenantSnapshot snapshot;
-  const Cell* cell = FindState(tenant);
+  const Cell* cell = cells_.Find(tenant);
   if (cell == nullptr) return snapshot;
   snapshot.queued =
       std::max<int64_t>(0, cell->queued.load(std::memory_order_relaxed));

@@ -43,10 +43,6 @@ namespace bouncer {
 /// by whichever decision crosses the refresh deadline first, under a
 /// try-lock — an O(num_tenants) scan every `refresh_interval`, never on
 /// the per-decision path, never blocking a second decider.
-///
-/// `use_map_baseline` swaps the flat slab for the shared-lock
-/// unordered_map the refactor exists to avoid — the A/B knob
-/// bench_admission_throughput's tenant ladder measures against.
 class TenantFairPolicy final : public AdmissionPolicy {
  public:
   struct Options {
@@ -61,8 +57,7 @@ class TenantFairPolicy final : public AdmissionPolicy {
     /// Queued items every tenant may hold regardless of share, so small
     /// shares at small queue depths never round down to a total ban.
     uint64_t min_share = 4;
-    bool use_map_baseline = false;   ///< A/B: unordered_map-keyed state.
-    uint64_t seed = 0x5eed4ULL;      ///< RNG seed for the override draw.
+    uint64_t seed = 0x5eed4ULL;  ///< RNG seed for the override draw.
   };
 
   /// `inner` must be non-null; `context.tenants` and `context.queue`
@@ -129,12 +124,6 @@ class TenantFairPolicy final : public AdmissionPolicy {
   };
   static_assert(sizeof(Cell) == kCacheLineSize);
 
-  Cell& StateFor(TenantId tenant) {
-    return flat_ != nullptr ? flat_->At(tenant) : map_->At(tenant);
-  }
-  const Cell* FindState(TenantId tenant) const {
-    return flat_ != nullptr ? flat_->Find(tenant) : map_->Find(tenant);
-  }
   /// Lazily rotates the cell's 2-bucket window into the step containing
   /// `now`. Losing a rotation race only miscounts a handful of events at
   /// a step boundary — the window is statistical, not an invariant.
@@ -152,8 +141,7 @@ class TenantFairPolicy final : public AdmissionPolicy {
   const Options options_;
   std::string name_;
 
-  std::unique_ptr<PolicyStateTable<Cell>> flat_;
-  std::unique_ptr<MapPolicyStateTable<Cell>> map_;
+  PolicyStateTable<Cell> cells_{/*num_types=*/1};
 
   /// Cached cross-tenant aggregates (see MaybeRefreshAggregates).
   std::atomic<double> active_weight_;

@@ -79,15 +79,11 @@ class Cluster {
     /// Optional live update feed layered over the snapshot (paper §5.1);
     /// must outlive the cluster.
     const EdgeUpdateLog* update_log = nullptr;
-    /// Use the pre-optimization blocking scatter-gather: fresh per-round
-    /// heap buffers, mutex+condvar gather, no single-shard inline
-    /// short-circuit, sort/unique dedup. Kept as the A/B baseline for
-    /// bench_cluster_throughput; query results are identical either way.
-    bool legacy_scatter = false;
-    /// A/B knob: run every broker and shard stage with one global run
-    /// queue (the pre-sharding execution core) instead of per-worker
-    /// run-queue shards with stealing. Query results are identical
-    /// either way.
+    /// Run every broker and shard stage with one global run queue
+    /// (Stage::Options::num_run_queues = 1, the pre-sharding execution
+    /// core) instead of per-worker run-queue shards with stealing: the
+    /// oracle the sharded core is checked against. Query results are
+    /// identical either way.
     bool force_single_queue = false;
     /// Optional sink for shard-stage subquery outcomes (Points 1–3 per
     /// subquery batch, one per shard per round); must outlive the
@@ -192,26 +188,21 @@ class Cluster {
  private:
   struct QueryContext;
 
+  /// The broker WorkItem of one client query: a pooled QueryContext
+  /// carries `query` and `done`, and the completion callback returns it
+  /// to the pool. Shared by Submit() and SubmitBatch().
+  server::WorkItem MakeQueryItem(const GraphQuery& query, Nanos deadline,
+                                 CompletionFn done, uint64_t id,
+                                 TenantId tenant);
   void ExecuteQuery(server::WorkItem& item);
   /// Scatter `vertices` to their shards as one `kind` subquery batch per
   /// shard (admission is charged once per round per shard) and gather
   /// results, appending degrees/neighbors to whichever outputs are
-  /// non-null. Returns false if any subquery failed. Routes to the
-  /// pooled/async or the legacy implementation per Options.
+  /// non-null. Returns false if any subquery failed.
   bool ScatterGather(std::span<const uint32_t> vertices, Subquery::Kind kind,
                      uint32_t limit_per_vertex, QueryTypeId type,
                      Nanos deadline, std::vector<uint32_t>* degrees_out,
                      std::vector<uint32_t>* neighbors_out);
-  bool ScatterGatherAsync(std::span<const uint32_t> vertices,
-                          Subquery::Kind kind, uint32_t limit_per_vertex,
-                          QueryTypeId type, Nanos deadline,
-                          std::vector<uint32_t>* degrees_out,
-                          std::vector<uint32_t>* neighbors_out);
-  bool ScatterGatherLegacy(std::span<const uint32_t> vertices,
-                           Subquery::Kind kind, uint32_t limit_per_vertex,
-                           QueryTypeId type, Nanos deadline,
-                           std::vector<uint32_t>* degrees_out,
-                           std::vector<uint32_t>* neighbors_out);
   bool FetchDegrees(std::span<const uint32_t> vertices, QueryTypeId type,
                     Nanos deadline, std::vector<uint32_t>* degrees);
   bool Expand(std::span<const uint32_t> vertices, uint32_t cap_per_vertex,
@@ -220,9 +211,6 @@ class Cluster {
   uint64_t RunBfs(const GraphQuery& query, uint32_t max_depth,
                   size_t frontier_cap, QueryTypeId type, Nanos deadline,
                   bool* ok);
-  uint64_t RunBfsLegacy(const GraphQuery& query, uint32_t max_depth,
-                        size_t frontier_cap, QueryTypeId type, Nanos deadline,
-                        bool* ok);
 
   const GraphStore* graph_;
   const QueryTypeRegistry* registry_;

@@ -209,9 +209,9 @@ void NetClient::StopSending() {
   sending_.store(false, std::memory_order_release);
 }
 
-bool NetClient::TrySend(const RequestFrame& frame) {
+bool NetClient::TrySend(const RequestFrame& frame, Nanos due) {
   if (!running_.load(std::memory_order_acquire)) return false;
-  if (!open_queue_.TryPush(RequestFrame(frame))) {
+  if (!open_queue_.TryPush(OpenRequest{frame, due})) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -309,7 +309,7 @@ void NetClient::PlaceOpenLoop(size_t thread_index) {
   // queue then backs up and TrySend starts dropping — by design).
   const size_t nthreads = options_.num_io_threads;
   size_t start = thread_index;
-  RequestFrame frame;
+  OpenRequest request;
   for (;;) {
     Conn* target = nullptr;
     for (size_t i = start; i < conns_.size(); i += nthreads) {
@@ -321,10 +321,11 @@ void NetClient::PlaceOpenLoop(size_t thread_index) {
       }
     }
     if (target == nullptr) return;
-    if (!open_queue_.TryPop(frame)) return;
+    if (!open_queue_.TryPop(request)) return;
+    RequestFrame& frame = request.frame;
     frame.id = target->next_seq;
     Conn::Slot& slot = target->slots[target->next_seq & slot_mask_];
-    slot.t0 = SystemClock::Global()->Now();
+    slot.t0 = request.due;
     slot.seq = target->next_seq;
     slot.op = frame.op;
     uint8_t encoded[kRequestFrameBytes];
@@ -440,7 +441,12 @@ void NetClient::FlushConn(Conn* conn) {
   while (!conn->tx.empty()) {
     struct iovec iov[2];
     const int segments = conn->tx.ReadableSegments(iov);
-    const ssize_t n = ::writev(conn->fd, iov, segments);
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(segments);
+    // MSG_NOSIGNAL: a server that went away fails the connection (EPIPE),
+    // it does not kill the client process.
+    const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       conn->tx.Consume(static_cast<size_t>(n));
       continue;

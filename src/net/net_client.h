@@ -29,7 +29,11 @@ namespace bouncer::net {
 ///    schedule (e.g. workload::LoadGenerator's Poisson departures) into a
 ///    bounded local queue the IO threads drain; when server backpressure
 ///    fills the local queue, TrySend reports the drop instead of
-///    blocking, preserving the open-loop property.
+///    blocking, preserving the open-loop property. Latency is measured
+///    from each request's scheduled departure, not from when an IO
+///    thread placed it, so time spent waiting in the local queue or
+///    behind a full connection counts (wrk2's coordinated-omission
+///    correction).
 ///
 /// Request frames come from a caller-provided Sampler; the client
 /// overwrites `id` with a per-connection sequence number used to match
@@ -98,10 +102,12 @@ class NetClient {
   /// Stops issuing new closed-loop requests; in-flight ones still drain.
   void StopSending();
 
-  /// Open loop: enqueue one request for the IO threads to place. Returns
-  /// false (and counts a drop) when the local queue is full — i.e. the
-  /// server's TCP backpressure has propagated all the way here.
-  bool TrySend(const RequestFrame& frame);
+  /// Open loop: enqueue one request for the IO threads to place. `due`
+  /// is its scheduled departure on SystemClock's timeline; the response's
+  /// latency is measured from it. Returns false (and counts a drop) when
+  /// the local queue is full — i.e. the server's TCP backpressure has
+  /// propagated all the way here.
+  bool TrySend(const RequestFrame& frame, Nanos due);
 
   /// Blocks until every accepted request has a response — including
   /// open-loop frames still waiting in the local queue, which would
@@ -111,7 +117,8 @@ class NetClient {
   bool WaitForDrain(Nanos timeout);
 
   Counters counters() const;
-  /// Round-trip latency over all responses since the last ResetStats().
+  /// Round-trip latency over all responses since the last ResetStats()
+  /// (open-loop requests: from their scheduled departure).
   stats::HistogramSummary Latency() const { return latency_.MakeSummary(); }
   /// Round-trip latency of one op's responses.
   stats::HistogramSummary LatencyFor(graph::GraphOp op) const {
@@ -123,6 +130,12 @@ class NetClient {
 
  private:
   struct Conn;
+  /// An open-loop request waiting for placement, with its scheduled
+  /// departure.
+  struct OpenRequest {
+    RequestFrame frame;
+    Nanos due = 0;
+  };
   enum class Mode : int { kIdle = 0, kClosedLoop = 1 };
 
   void IoThread(size_t thread_index);
@@ -145,7 +158,7 @@ class NetClient {
   std::vector<std::unique_ptr<std::atomic<bool>>> wake_flags_;
   std::vector<std::thread> threads_;
 
-  MpmcQueue<RequestFrame> open_queue_;
+  MpmcQueue<OpenRequest> open_queue_;
   std::atomic<size_t> open_rr_{0};  ///< Round-robin wake target.
 
   std::atomic<int> mode_{0};

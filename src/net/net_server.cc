@@ -829,15 +829,9 @@ void NetServer::ParseConn(Loop& loop, Connection* conn) {
                              const GraphQueryResult& result) {
       pending->loop->server->OnQueryDone(pending, w, outcome, result);
     };
-    if (options_.batch_submit) {
-      loop.batch.push_back(std::move(request));
-      loop.batch_tokens.push_back(conn->Token());
-      if (loop.batch.size() >= options_.max_batch) SubmitParsed(loop);
-    } else {
-      // A/B baseline: one admission episode per query.
-      cluster_->Submit(request.query, request.deadline,
-                       std::move(request.done), frame.id, tenant);
-    }
+    loop.batch.push_back(std::move(request));
+    loop.batch_tokens.push_back(conn->Token());
+    if (loop.batch.size() >= options_.max_batch) SubmitParsed(loop);
   }
 }
 
@@ -1142,7 +1136,13 @@ void NetServer::FlushConn(Loop& loop, Connection* conn) {
   while (!conn->tx.empty()) {
     struct iovec iov[2];
     const int segments = conn->tx.ReadableSegments(iov);
-    const ssize_t n = ::writev(conn->fd, iov, segments);
+    // MSG_NOSIGNAL: a client that reset the connection with responses
+    // still owed must cost EPIPE and a close, not a SIGPIPE that kills
+    // the server.
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(segments);
+    const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     CountSyscall(loop.counters);
     if (n > 0) {
       conn->tx.Consume(static_cast<size_t>(n));

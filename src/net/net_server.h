@@ -24,7 +24,7 @@ namespace bouncer::net {
 /// Event-loop backend for the network front end.
 enum class NetBackend : uint8_t {
   kAuto = 0,   ///< io_uring when the kernel supports it, else epoll.
-  kEpoll = 1,  ///< epoll_wait + readv/writev/accept4 per ready fd.
+  kEpoll = 1,  ///< epoll_wait + readv/sendmsg/accept4 per ready fd.
   kUring = 2,  ///< io_uring: multishot accept/recv, batched one-syscall
                ///< submit-and-wait.
 };
@@ -89,12 +89,9 @@ class NetServer {
     size_t max_connections = 1024;  ///< Across all loops.
     size_t read_ring_bytes = 1 << 16;
     size_t write_ring_bytes = 1 << 17;
-    /// Admission mode: true drains each wakeup's parse batch through
-    /// Cluster::SubmitBatch; false submits per item (the A/B baseline
-    /// bench_net_throughput measures against).
-    bool batch_submit = true;
-    /// Cap on one admission episode; a wakeup that parses more submits in
-    /// chunks of this size.
+    /// Cap on one admission episode: each wakeup's parse batch goes
+    /// through Cluster::SubmitBatch, and a wakeup that parses more
+    /// submits in chunks of this size.
     size_t max_batch = 4096;
     /// Admitted-but-unanswered cap per connection before its EPOLLIN is
     /// paused. Bounds both completion-ring pressure and write-ring needs.
@@ -155,7 +152,7 @@ class NetServer {
     uint64_t admin_requests = 0;   ///< Admin opcodes served.
     uint64_t handoffs = 0;  ///< Fds mailed to another loop (fallback mode).
     uint64_t nodelay_failures = 0;  ///< TCP_NODELAY not verified on accept.
-    /// Data-path syscalls: waits, readv/writev/accept4, epoll_ctl,
+    /// Data-path syscalls: waits, readv/sendmsg/accept4, epoll_ctl,
     /// io_uring_enter, eventfd reads and writes. Divided by `responses`
     /// this is the per-request syscall cost the backends compete on.
     uint64_t syscalls = 0;

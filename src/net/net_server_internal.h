@@ -7,6 +7,7 @@
 #ifndef BOUNCER_NET_NET_SERVER_INTERNAL_H_
 #define BOUNCER_NET_NET_SERVER_INTERNAL_H_
 
+#include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -78,12 +79,13 @@ struct NetServer::Connection {
   // zombie: unusable until its last CQE lands (the cancels prepared by
   // UringPrepareClose make that prompt).
   bool recv_armed = false;     ///< Multishot recv outstanding.
-  bool send_inflight = false;  ///< One WRITEV outstanding at a time.
+  bool send_inflight = false;  ///< One SENDMSG outstanding at a time.
   bool cancel_pending = false; ///< Recv async-cancel submitted (pause).
   bool zombie = false;         ///< Closed, awaiting final CQEs.
   uint32_t uring_inflight = 0;  ///< Outstanding SQEs for this slot.
-  /// The in-flight WRITEV's scatter list: must stay stable until its
-  /// CQE, so it lives with the connection, not on the stack.
+  /// The in-flight SENDMSG's header and scatter list: must stay stable
+  /// until its CQE, so they live with the connection, not on the stack.
+  struct msghdr send_msg = {};
   struct iovec send_iov[2] = {};
 #if BOUNCER_HAS_IOURING
   /// Recv-buffer bytes waiting for rx-ring space (FIFO), plus the index

@@ -308,12 +308,15 @@ void PrepRecvMultishot(io_uring_sqe* sqe, int fd, uint16_t buf_group,
   sqe->user_data = user_data;
 }
 
-void PrepWritev(io_uring_sqe* sqe, int fd, const struct iovec* iov,
-                unsigned nr_iov, uint64_t user_data) {
-  sqe->opcode = IORING_OP_WRITEV;
+void PrepSendmsg(io_uring_sqe* sqe, int fd, const struct msghdr* msg,
+                 uint64_t user_data) {
+  sqe->opcode = IORING_OP_SENDMSG;
   sqe->fd = fd;
-  sqe->addr = reinterpret_cast<uint64_t>(iov);
-  sqe->len = nr_iov;
+  sqe->addr = reinterpret_cast<uint64_t>(msg);
+  sqe->len = 1;
+  // A peer that reset the connection fails the send with EPIPE instead
+  // of raising SIGPIPE, which would kill the process.
+  sqe->msg_flags = MSG_NOSIGNAL;
   sqe->user_data = user_data;
 }
 
@@ -352,7 +355,7 @@ bool ProbeOpcodes(int ring_fd, std::string* reason) {
     return false;
   }
   const uint8_t needed[] = {IORING_OP_ACCEPT, IORING_OP_RECV,
-                            IORING_OP_WRITEV, IORING_OP_POLL_ADD,
+                            IORING_OP_SENDMSG, IORING_OP_POLL_ADD,
                             IORING_OP_ASYNC_CANCEL};
   for (const uint8_t op : needed) {
     if (op > probe->last_op ||

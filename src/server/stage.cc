@@ -14,7 +14,6 @@ constexpr size_t kMaxRunQueues = 64;
 }  // namespace
 
 size_t Stage::ResolveRunQueues(const Options& options) {
-  if (options.force_single_queue) return 1;
   size_t n = options.num_run_queues != 0 ? options.num_run_queues
                                          : options.num_workers;
   if (n == 0) n = 1;

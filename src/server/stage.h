@@ -101,8 +101,8 @@ struct StageCounters {
 /// one (FIFO-local, FIFO-steal — the admission model's Eq. 2 assumes FIFO
 /// service, so steals take the oldest item of the victim ring, never the
 /// newest). TryRunOne()/SubmitInline() helpers steal through the same
-/// protocol. `force_single_queue` (or num_run_queues = 1) restores the
-/// single global FIFO for A/B comparison.
+/// protocol. num_run_queues = 1 restores the single global FIFO (and a
+/// single counter stripe everywhere downstream).
 ///
 /// Thread-safety: Submit() may be called from any number of threads. The
 /// submit and worker hot paths are lock-free: items flow through bounded
@@ -126,9 +126,6 @@ class Stage {
     /// More queues than workers is allowed — extra rings are drained via
     /// stealing (tests use this to pin items to a victim ring).
     size_t num_run_queues = 0;
-    /// A/B knob: collapse to the pre-sharding single global FIFO (and a
-    /// single counter stripe everywhere downstream).
-    bool force_single_queue = false;
     /// When set, the stage publishes its counters/queue length under
     /// "stage.<name>.*" and records the estimate-vs-actual queue-wait
     /// error into "stage.<name>.est_wait_err_{under,over}_ns". The

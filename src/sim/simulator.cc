@@ -44,8 +44,7 @@ Simulator::Simulator(const workload::WorkloadSpec& workload,
   in_flight_.reserve(config_.parallelism);
   free_slots_.reserve(config_.parallelism);
 
-  use_fifo_ring_ = config_.discipline == QueueDiscipline::kFifo &&
-                   !config_.force_heap_queue;
+  use_fifo_ring_ = config_.discipline == QueueDiscipline::kFifo;
   if (use_fifo_ring_) {
     fifo_queue_.Reserve(std::min<uint64_t>(config_.total_queries, 4096));
   }

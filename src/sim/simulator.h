@@ -55,11 +55,6 @@ struct SimulationConfig {
   uint64_t warmup_queries = 100'000;
   uint64_t seed = 1;
   StatsMode stats_mode = StatsMode::kExactSamples;
-  /// Forces the generic heap-backed admitted-query queue even under
-  /// kFifo, bypassing the O(1) FIFO ring fast path. The two paths are
-  /// behaviorally identical; this knob exists so tests and
-  /// bench_sim_throughput can compare them.
-  bool force_heap_queue = false;
   /// Relative deadline clients give their queries (0 = none). A query
   /// still queued past its deadline is dropped without processing
   /// (expired); one that completes past it was processed uselessly —

@@ -27,7 +27,10 @@ void LoadGenerator::GeneratorThread(size_t thread_index,
     if (next > SteadyClock::now()) {
       std::this_thread::sleep_until(next);
     }
-    sink_(mix_->SampleType(rng));
+    sink_(mix_->SampleType(rng),
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              next.time_since_epoch())
+              .count());
     ++emitted;
   }
   sent->fetch_add(emitted, std::memory_order_relaxed);

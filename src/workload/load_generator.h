@@ -30,7 +30,10 @@ class LoadGenerator {
 
   /// Receives the sampled workload type index for each departure and is
   /// responsible for submitting the query (must not block for long).
-  using Sink = std::function<void(size_t type_index)>;
+  /// `due` is the departure's scheduled time on SystemClock's timeline;
+  /// a generator running behind calls the sink after it, and latency
+  /// measured from `due` stays free of coordinated omission.
+  using Sink = std::function<void(size_t type_index, Nanos due)>;
 
   /// `mix` must outlive the generator.
   LoadGenerator(const WorkloadSpec* mix, const Options& options, Sink sink)

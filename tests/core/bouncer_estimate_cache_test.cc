@@ -140,19 +140,6 @@ TEST(BouncerEstimateCacheTest, OutOfBandQueueMutationFallsBackExactly) {
   EXPECT_EQ(policy.EstimateQueueWait(), policy.EstimateQueueWaitSlow());
 }
 
-TEST(BouncerEstimateCacheTest, RescanOnlyModeMatchesToo) {
-  PolicyHarness h(Slo{18 * kMillisecond, 50 * kMillisecond, 0},
-                  /*parallelism=*/2);
-  BouncerPolicy::Options options;
-  options.histogram_swap_interval = kSecond;
-  options.incremental_estimate = false;  // Pre-optimization behavior.
-  BouncerPolicy policy(h.context, options);
-  Train(policy, h.fast_id, 4 * kMillisecond);
-  h.queue->OnEnqueued(h.fast_id);
-  EXPECT_EQ(policy.EstimateQueueWait(), 2 * kMillisecond);
-  EXPECT_EQ(policy.EstimateQueueWait(), policy.EstimateQueueWaitSlow());
-}
-
 // Hook-driven churn from several threads, concurrent with swaps: after
 // the dust settles and a rebuild runs, the fast estimate must equal the
 // rescan again (the aggregate self-heals; it never wedges).

@@ -171,17 +171,6 @@ TEST(TenantFairPolicyTest, SnapshotOfUntouchedTenantIsZero) {
   EXPECT_EQ(s.queued, 0);
 }
 
-TEST(TenantFairPolicyTest, MapBaselineBehavesIdentically) {
-  TenantFairPolicy::Options options;
-  options.use_map_baseline = true;
-  options.window_step = kSecond;
-  Fixture f(options);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(f.policy->Decide(Key(2), kMillisecond), Decision::kAccept);
-  }
-  EXPECT_EQ(f.policy->Snapshot(2).total_received, 10);
-}
-
 TEST(TenantFairPolicyTest, ConcurrentDecidersOnDisjointTenants) {
   // 8 threads hammering distinct tenant ranges through chunk growth:
   // per-tenant totals must be exact (no lost updates; TSan-clean).

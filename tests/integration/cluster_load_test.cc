@@ -59,7 +59,7 @@ class ClusterLoadTest : public ::testing::Test {
     generator_options.rate_qps = qps;
     generator_options.duration = duration;
     workload::LoadGenerator generator(
-        &mix, generator_options, [&](size_t type_index) {
+        &mix, generator_options, [&](size_t type_index, Nanos) {
           const GraphQuery query = Cluster::SampleQuery(
               static_cast<GraphOp>(type_index), *graph_, query_rng);
           cluster.Submit(query, 0,

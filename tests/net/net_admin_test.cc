@@ -72,7 +72,6 @@ struct AdminHarness {
 
     NetServer::Options server_options;
     server_options.backend = backend;
-    server_options.batch_submit = true;
     server_options.metrics = &metrics;
     server_options.recorder = &recorder;
     server = std::make_unique<NetServer>(cluster.get(), server_options);

@@ -64,8 +64,7 @@ Cluster::Options SmallCluster(bool rejecting) {
 }
 
 struct LoopbackHarness {
-  explicit LoopbackHarness(NetBackend backend, bool batch_submit,
-                           bool rejecting = false)
+  explicit LoopbackHarness(NetBackend backend, bool rejecting = false)
       : graph(MakeGraph()),
         registry(Cluster::MakeRegistry(Slo{kSecond, 2 * kSecond, 0})),
         cluster(&graph, &registry, SystemClock::Global(),
@@ -73,7 +72,6 @@ struct LoopbackHarness {
     EXPECT_TRUE(cluster.Start().ok());
     NetServer::Options server_options;
     server_options.backend = backend;
-    server_options.batch_submit = batch_submit;
     // Every loopback test runs with the tenant dimension wired in: v1
     // traffic lands on the default tenant, so the single-tenant cases
     // double as wire-compat coverage.
@@ -149,6 +147,21 @@ void RunDegreeCheck(LoopbackHarness& harness) {
   EXPECT_EQ(stats.bad_frames, 0u);
 }
 
+/// A blocking TCP socket connected to 127.0.0.1:`port`, or -1.
+int ConnectLoopback(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 class NetLoopbackTest : public ::testing::TestWithParam<NetBackend> {};
 
 INSTANTIATE_TEST_SUITE_P(Backends, NetLoopbackTest,
@@ -158,7 +171,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, NetLoopbackTest,
 
 TEST_P(NetLoopbackTest, BatchedModeAnswersEveryQuery) {
   BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   RunDegreeCheck(harness);
   // Batch mode must actually batch: fewer admission episodes than
   // requests (each episode covers a whole wakeup's parse).
@@ -167,28 +180,16 @@ TEST_P(NetLoopbackTest, BatchedModeAnswersEveryQuery) {
   EXPECT_LE(stats.submit_batches, stats.requests);
 }
 
-TEST_P(NetLoopbackTest, PerItemModeAnswersEveryQuery) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/false);
-  RunDegreeCheck(harness);
-}
-
 TEST_P(NetLoopbackTest, DegreeAnswersMatchGraph) {
   BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
   // A raw blocking socket, one request at a time: every kOk value must
   // equal the graph's actual degree of the queried vertex, and the id
   // must echo back verbatim.
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   const uint32_t num_vertices = harness.graph.num_vertices();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectLoopback(harness.server->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(harness.server->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
 
   for (uint64_t seq = 0; seq < 200; ++seq) {
     RequestFrame request;
@@ -225,17 +226,11 @@ TEST_P(NetLoopbackTest, TenantIdsThreadEndToEnd) {
   // v2 frames carry external tenant ids; the server interns them and
   // charges per-tenant counters. A v1 (36-byte) frame from an old client
   // lands on the default tenant. One blocking socket keeps it exact.
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   const uint32_t num_vertices = harness.graph.num_vertices();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectLoopback(harness.server->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(harness.server->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
 
   // (external tenant id, request count): tenant 0 = legacy v1 frames.
   const std::pair<uint64_t, int> kMix[] = {{7, 5}, {9, 3}, {0, 2}};
@@ -298,8 +293,7 @@ TEST_P(NetLoopbackTest, RejectionCodesReachTheClient) {
   // Zero-length broker queue: with 8 connections x 8 in flight, most
   // queries must come back kRejected — synchronously, from the event
   // loop — while some still complete.
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true,
-                          /*rejecting=*/true);
+  LoopbackHarness harness(GetParam(), /*rejecting=*/true);
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/8, /*in_flight=*/8),
       [](size_t conn_index, uint64_t seq) {
@@ -336,7 +330,7 @@ TEST_P(NetLoopbackTest, ManyShortLivedConnections) {
   BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
   // Slot recycling: connections come and go; the server must keep
   // serving and release every slot (accepted == closed at the end).
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   for (int round = 0; round < 5; ++round) {
     NetClient client(
         ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/4),
@@ -378,7 +372,7 @@ TEST_P(NetLoopbackTest, NodelaySetAndVerifiedOnAcceptedSockets) {
   // back with getsockopt at accept time; a failed verification bumps
   // nodelay_failures. Small length-prefixed frames must never sit in a
   // Nagle buffer waiting for an ACK.
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/2),
       [](size_t, uint64_t seq) {
@@ -405,6 +399,82 @@ TEST_P(NetLoopbackTest, NodelaySetAndVerifiedOnAcceptedSockets) {
       << "an accepted socket is running without TCP_NODELAY";
 }
 
+TEST_P(NetLoopbackTest, PeerResetWithResponsesOwedKeepsServerUp) {
+  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+  // A raw socket pipelines 1k requests of every op and resets the
+  // connection (SO_LINGER {1, 0}) without reading the responses, so the
+  // server writes owed responses to a socket the peer has reset. Those
+  // writes must fail (EPIPE / ECONNRESET) and close the connection; a
+  // SIGPIPE would kill the whole test process. Odd rounds half-close
+  // first and wait for one response before the reset: the server then
+  // sits in CLOSE_WAIT still answering, and its very next write after
+  // the reset is the one that raises SIGPIPE without MSG_NOSIGNAL.
+  LoopbackHarness harness(GetParam());
+  constexpr int kRequests = 1000;
+  std::vector<uint8_t> burst(kRequests * kRequestFrameBytes);
+  size_t burst_bytes = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    RequestFrame request;
+    request.id = static_cast<uint64_t>(i);
+    request.op = static_cast<uint8_t>(i % graph::kNumGraphOps);
+    request.source = static_cast<uint32_t>(i);
+    request.target = static_cast<uint32_t>(i * 7);
+    burst_bytes += EncodeRequest(request, burst.data() + burst_bytes);
+  }
+  for (int round = 0; round < 6; ++round) {
+    const int fd = ConnectLoopback(harness.server->port());
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::send(fd, burst.data(), burst_bytes, 0),
+              static_cast<ssize_t>(burst_bytes));
+    if (round % 2 == 1) {
+      ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+      uint8_t first[kResponseFrameBytes];
+      ASSERT_EQ(::recv(fd, first, sizeof(first), MSG_WAITALL),
+                static_cast<ssize_t>(sizeof(first)));
+    }
+    const linger abortive{1, 0};
+    ASSERT_EQ(
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abortive, sizeof(abortive)),
+        0);
+    ::close(fd);
+  }
+  // Every request the server parsed still completes and is accounted,
+  // although its peer is gone...
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  NetServer::Stats stats = harness.server->AggregateStats();
+  while (stats.responses < stats.requests &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = harness.server->AggregateStats();
+  }
+  EXPECT_EQ(stats.responses, stats.requests);
+  // ...and the server answers a second client in full.
+  RunDegreeCheck(harness);
+}
+
+TEST_P(NetLoopbackTest, OpenLoopLatencyCountsFromScheduledDeparture) {
+  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+  // Coordinated-omission correction: a request due 50 ms ago (the
+  // generator fell behind, or it sat in the local queue) reports at
+  // least those 50 ms, however fast the server answers it now.
+  LoopbackHarness harness(GetParam());
+  NetClient client(
+      ClientOptions(harness.server->port(), /*conns=*/1, /*in_flight=*/1),
+      [](size_t, uint64_t) { return RequestFrame{}; });
+  ASSERT_TRUE(client.Start().ok());
+  RequestFrame frame;
+  frame.op = static_cast<uint8_t>(GraphOp::kDegree);
+  ASSERT_TRUE(
+      client.TrySend(frame, SystemClock::Global()->Now() - 50 * kMillisecond));
+  ASSERT_TRUE(client.WaitForDrain(10 * kSecond));
+  client.Stop();
+  const stats::HistogramSummary latency = client.Latency();
+  ASSERT_EQ(latency.count, 1u);
+  // The mean of one sample is that sample, exactly.
+  EXPECT_GE(latency.mean, 50 * kMillisecond);
+}
+
 TEST(NetLoopbackInteropTest, MixedBackendServersShareOneCluster) {
   // Interop: an epoll server and an io_uring server front the same
   // Cluster on different ports, each driven by its own client
@@ -415,10 +485,9 @@ TEST(NetLoopbackInteropTest, MixedBackendServersShareOneCluster) {
   if (!NetServer::UringSupported(&reason)) {
     GTEST_SKIP() << "io_uring backend unavailable: " << reason;
   }
-  LoopbackHarness harness(NetBackend::kEpoll, /*batch_submit=*/true);
+  LoopbackHarness harness(NetBackend::kEpoll);
   NetServer::Options uring_options;
   uring_options.backend = NetBackend::kUring;
-  uring_options.batch_submit = true;
   NetServer uring_server(&harness.cluster, uring_options);
   ASSERT_TRUE(uring_server.Start().ok());
   ASSERT_EQ(uring_server.backend(), NetBackend::kUring);

@@ -111,11 +111,12 @@ TEST(StageShardedTest, DefaultsToOneRunQueuePerWorker) {
   EXPECT_EQ(f.stage->queue_state().num_stripes(), 3u);
 }
 
+/// One run queue is the pre-sharding core: a single global FIFO and a
+/// single counter stripe, whatever the worker count.
 TEST(StageShardedTest, ForceSingleQueueCollapsesToOneRing) {
   Stage::Options options;
   options.num_workers = 4;
-  options.num_run_queues = 8;
-  options.force_single_queue = true;
+  options.num_run_queues = 1;
   ShardedFixture f(options);
   EXPECT_EQ(f.stage->num_run_queues(), 1u);
   EXPECT_EQ(f.stage->queue_state().num_stripes(), 1u);

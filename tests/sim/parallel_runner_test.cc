@@ -133,6 +133,10 @@ TEST(ParallelRunnerTest, SweepPolicyGridMatchesPerPolicySweeps) {
   }
 }
 
+/// The FIFO ring (kFifo) against the heap-backed queue: kPriority with
+/// no type priorities gives every query order key 0, so the heap's
+/// (order_key, sequence) order is arrival order and the two runs must
+/// agree bit for bit.
 TEST(SimulatorQueueTest, FifoRingMatchesHeapPathBitExact) {
   const auto workload = workload::PaperSimulationWorkload();
   PolicyConfig policy;
@@ -147,7 +151,8 @@ TEST(SimulatorQueueTest, FifoRingMatchesHeapPathBitExact) {
     Simulator ring_sim(workload, config, policy);
     const auto ring = ring_sim.Run();
 
-    config.force_heap_queue = true;
+    config.discipline = QueueDiscipline::kPriority;
+    ASSERT_TRUE(config.type_priorities.empty());
     Simulator heap_sim(workload, config, policy);
     const auto heap = heap_sim.Run();
 

@@ -14,8 +14,12 @@
 namespace bouncer::stats {
 namespace {
 
+// gtest prints this struct byte by byte into each discovered ctest name.
+// The name is stored inline and leads the struct so that those names start
+// with the same bytes on every build; a std::string would lead with a heap
+// address that changes from run to run.
 struct DistributionCase {
-  std::string name;
+  char name[32];
   // Draws one sample in nanoseconds.
   Nanos (*draw)(Rng&);
 };
