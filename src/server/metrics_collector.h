@@ -111,13 +111,7 @@ class MetricsCollector {
                         static_cast<double>(r.received);
     }
     std::lock_guard<std::mutex> lock(t.mu);
-    r.rt_mean_ms = t.rt_ms.Mean();
-    r.rt_p50_ms = t.rt_ms.Percentile(0.50);
-    r.rt_p90_ms = t.rt_ms.Percentile(0.90);
-    r.rt_p99_ms = t.rt_ms.Percentile(0.99);
-    r.pt_mean_ms = t.pt_ms.Mean();
-    r.pt_p50_ms = t.pt_ms.Percentile(0.50);
-    r.pt_p90_ms = t.pt_ms.Percentile(0.90);
+    FillSampleStats(t.rt_ms, t.pt_ms, &r);
     return r;
   }
 
@@ -135,20 +129,14 @@ class MetricsCollector {
       r.completed += t.completed.load(std::memory_order_relaxed);
       r.pt_total_ns += t.pt_total_ns.load(std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(t.mu);
-      for (double v : t.rt_ms.samples()) all_rt.Add(v);
-      for (double v : t.pt_ms.samples()) all_pt.Add(v);
+      all_rt.Append(t.rt_ms);
+      all_pt.Append(t.pt_ms);
     }
     if (r.received > 0) {
       r.rejection_pct = 100.0 * static_cast<double>(r.rejected) /
                         static_cast<double>(r.received);
     }
-    r.rt_mean_ms = all_rt.Mean();
-    r.rt_p50_ms = all_rt.Percentile(0.50);
-    r.rt_p90_ms = all_rt.Percentile(0.90);
-    r.rt_p99_ms = all_rt.Percentile(0.99);
-    r.pt_mean_ms = all_pt.Mean();
-    r.pt_p50_ms = all_pt.Percentile(0.50);
-    r.pt_p90_ms = all_pt.Percentile(0.90);
+    FillSampleStats(all_rt, all_pt, &r);
     return r;
   }
 
@@ -170,6 +158,21 @@ class MetricsCollector {
   size_t num_types() const { return types_.size(); }
 
  private:
+  /// Means first (in the current sample order), then the percentiles,
+  /// whose selections reorder the samples.
+  static void FillSampleStats(stats::SampleSummary& rt_ms,
+                              stats::SampleSummary& pt_ms, TypeReport* r) {
+    r->rt_mean_ms = rt_ms.Mean();
+    r->pt_mean_ms = pt_ms.Mean();
+    const std::vector<double> rt = rt_ms.Percentiles({0.50, 0.90, 0.99});
+    r->rt_p50_ms = rt[0];
+    r->rt_p90_ms = rt[1];
+    r->rt_p99_ms = rt[2];
+    const std::vector<double> pt = pt_ms.Percentiles({0.50, 0.90});
+    r->pt_p50_ms = pt[0];
+    r->pt_p90_ms = pt[1];
+  }
+
   /// Padded to cache-line granularity: the per-type cells sit in one
   /// flat vector and every completion from every worker writes its
   /// type's cell, so adjacent hot types must not share a line.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <vector>
 
 namespace bouncer::sim {
 
@@ -283,6 +284,12 @@ SimulationResult Simulator::Run() {
   const bool streaming = config_.stats_mode == StatsMode::kStreamingSummary;
   stats::SampleSummary all_rt;
   stats::SampleSummary all_pt;
+  if (!streaming) {
+    size_t pooled = 0;
+    for (const TypeCounters& c : counters_) pooled += c.rt_ms.Count();
+    all_rt.Reserve(pooled);
+    all_pt.Reserve(pooled);
+  }
   result.per_type.resize(workload_.size());
   TypeStats& overall = result.overall;
   overall.name = "ALL";
@@ -310,12 +317,18 @@ SimulationResult Simulator::Run() {
       t.pt_p90_ms = ToMillis(c.pt_hist->Percentile(0.90));
       t.wt_p50_ms = ToMillis(c.wt_hist->Percentile(0.50));
     } else {
+      // Pool and take the mean first: the selections below reorder the
+      // type's raw samples.
+      all_rt.Append(c.rt_ms);
+      all_pt.Append(c.pt_ms);
       t.rt_mean_ms = c.rt_ms.Mean();
-      t.rt_p50_ms = c.rt_ms.Percentile(0.50);
-      t.rt_p90_ms = c.rt_ms.Percentile(0.90);
-      t.rt_p99_ms = c.rt_ms.Percentile(0.99);
-      t.pt_p50_ms = c.pt_ms.Percentile(0.50);
-      t.pt_p90_ms = c.pt_ms.Percentile(0.90);
+      const std::vector<double> rt = c.rt_ms.Percentiles({0.50, 0.90, 0.99});
+      t.rt_p50_ms = rt[0];
+      t.rt_p90_ms = rt[1];
+      t.rt_p99_ms = rt[2];
+      const std::vector<double> pt = c.pt_ms.Percentiles({0.50, 0.90});
+      t.pt_p50_ms = pt[0];
+      t.pt_p90_ms = pt[1];
       t.wt_p50_ms = c.wt_ms.Percentile(0.50);
     }
 
@@ -325,10 +338,6 @@ SimulationResult Simulator::Run() {
     overall.completed += c.completed;
     overall.expired += c.expired;
     overall.useless += c.useless;
-    if (!streaming) {
-      for (double v : c.rt_ms.samples()) all_rt.Add(v);
-      for (double v : c.pt_ms.samples()) all_pt.Add(v);
-    }
   }
   overall.rejection_pct =
       overall.received == 0
@@ -347,11 +356,13 @@ SimulationResult Simulator::Run() {
     overall.pt_p90_ms = ToMillis(all_pt_hist_->Percentile(0.90));
   } else {
     overall.rt_mean_ms = all_rt.Mean();
-    overall.rt_p50_ms = all_rt.Percentile(0.50);
-    overall.rt_p90_ms = all_rt.Percentile(0.90);
-    overall.rt_p99_ms = all_rt.Percentile(0.99);
-    overall.pt_p50_ms = all_pt.Percentile(0.50);
-    overall.pt_p90_ms = all_pt.Percentile(0.90);
+    const std::vector<double> rt = all_rt.Percentiles({0.50, 0.90, 0.99});
+    overall.rt_p50_ms = rt[0];
+    overall.rt_p90_ms = rt[1];
+    overall.rt_p99_ms = rt[2];
+    const std::vector<double> pt = all_pt.Percentiles({0.50, 0.90});
+    overall.pt_p50_ms = pt[0];
+    overall.pt_p90_ms = pt[1];
   }
   return result;
 }

@@ -35,6 +35,7 @@ void DualHistogram::ForceSwap() {
 }
 
 void DualHistogram::DoSwap() {
+  std::lock_guard<std::mutex> lock(swap_mu_);
   const int old = active_.load(std::memory_order_acquire);
   const int fresh = 1 - old;
   // The `fresh` buffer was reset at the end of the previous swap.
@@ -48,9 +49,13 @@ void DualHistogram::DoSwap() {
 }
 
 void DualHistogram::PublishSummary(const HistogramSummary& s) {
-  // Seqlock write: odd version while fields are inconsistent.
+  // Seqlock write (single writer: DoSwap() holds swap_mu_): odd version
+  // while fields are inconsistent.
   const uint64_t v = version_.load(std::memory_order_relaxed);
-  version_.store(v + 1, std::memory_order_release);
+  version_.store(v + 1, std::memory_order_relaxed);
+  // Keeps the field stores below from becoming visible before the odd
+  // version: a reader that sees a new field must then see v + 1 or later.
+  std::atomic_thread_fence(std::memory_order_release);
   pub_count_.store(s.count, std::memory_order_relaxed);
   pub_mean_.store(s.mean, std::memory_order_relaxed);
   pub_p50_.store(s.p50, std::memory_order_relaxed);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 
 #include "src/stats/histogram.h"
 #include "src/util/time.h"
@@ -41,12 +42,13 @@ class DualHistogram {
   void Record(Nanos value);
 
   /// Swaps buffers if `now` has passed the end of the current interval.
-  /// Safe to call from many threads; at most one performs the swap.
+  /// Safe to call from many threads; at most one performs the timed swap.
   /// Returns true if this call performed a swap.
   bool MaybeSwap(Nanos now);
 
   /// Unconditionally swaps buffers and republishes. Used by tests and by
-  /// simulation warm-up.
+  /// simulation warm-up. Safe to race MaybeSwap() and other ForceSwap()
+  /// calls: swaps are serialized.
   void ForceSwap();
 
   /// Most recently published summary (possibly empty before first swap,
@@ -71,6 +73,11 @@ class DualHistogram {
   void DoSwap();
 
   Options options_;
+  // Serializes DoSwap(), so the buffer flip and reset and the seqlock
+  // write below each have one writer at a time. Two interleaved
+  // publishers could leave `version_` odd forever and wedge every reader.
+  // Swaps are rare; readers and Record() never take it.
+  std::mutex swap_mu_;
   Histogram buffers_[2];
   std::atomic<int> active_;
   std::atomic<Nanos> next_swap_;

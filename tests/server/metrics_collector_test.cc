@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/util/rng.h"
+
 namespace bouncer::server {
 namespace {
 
@@ -169,6 +171,34 @@ TEST(MetricsCollectorTest, ResetClears) {
   collector.Reset();
   EXPECT_EQ(collector.Overall().received, 0u);
   EXPECT_DOUBLE_EQ(collector.Report(1).rt_p50_ms, 0.0);
+}
+
+// One pooled row pinned to the bit: the percentiles are order statistics
+// and the means sum each type's samples in recording order.
+TEST(MetricsCollectorTest, OverallRowPinnedToTheBit) {
+  MetricsCollector collector(3);
+  Rng rng(11);
+  for (int i = 0; i < 5000; ++i) {
+    WorkItem item;
+    item.type = static_cast<QueryTypeId>(rng.NextU64() % 3);
+    item.enqueued = kSecond;
+    item.dequeued =
+        item.enqueued + static_cast<Nanos>(rng.NextExponential(2e6));
+    item.completed =
+        item.dequeued + static_cast<Nanos>(rng.NextExponential(5e6));
+    collector.Record(item, rng.NextU64() % 10 == 0 ? Outcome::kRejected
+                                                   : Outcome::kCompleted);
+  }
+  const auto overall = collector.Overall();
+  EXPECT_EQ(overall.received, 5000u);
+  EXPECT_EQ(overall.rejected, 519u);
+  EXPECT_EQ(overall.rt_mean_ms, 6.8887815440749707);
+  EXPECT_EQ(overall.rt_p50_ms, 5.5347780000000002);
+  EXPECT_EQ(overall.rt_p90_ms, 13.757728999999999);
+  EXPECT_EQ(overall.rt_p99_ms, 25.632028999999999);
+  EXPECT_EQ(overall.pt_mean_ms, 4.9061066793126438);
+  EXPECT_EQ(overall.pt_p50_ms, 3.4600970000000002);
+  EXPECT_EQ(overall.pt_p90_ms, 11.186029);
 }
 
 }  // namespace

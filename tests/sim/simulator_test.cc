@@ -191,5 +191,72 @@ TEST(SimulatorTest, WarmupExcludedFromCounters) {
   EXPECT_EQ(result.overall.received, 10000u);
 }
 
+// Every exact-mode statistic of one small cell, pinned to the bit. The
+// cell is the paper grid's set-up check (Bouncer, Table 1 workload, 1.2x
+// load, 60k arrivals). Percentiles are order statistics, so any exact
+// quantile method must reproduce these values; a change here means the
+// simulated trajectory or the quantile definition moved.
+TEST(SimulatorTest, ExactModeStatisticsPinnedToTheBit) {
+  const auto workload = PaperSimulationWorkload();
+  PolicyConfig policy;
+  policy.kind = PolicyKind::kBouncer;
+  policy.bouncer.histogram_swap_interval = 2 * kSecond;
+  policy.bouncer.min_samples_to_publish = 30;
+  SimulationConfig config;
+  config.parallelism = 100;
+  config.total_queries = 60000;
+  config.warmup_queries = 20000;
+  config.seed = 20240101;
+  config.stats_mode = StatsMode::kExactSamples;
+  config.arrival_rate_qps = 1.2 * workload.FullLoadQps(100);
+  Simulator simulator(workload, config, policy);
+  const auto result = simulator.Run();
+  ASSERT_EQ(result.per_type.size(), 4u);
+  EXPECT_EQ(result.overall.rejected, 8174u);
+  EXPECT_EQ(result.overall.completed, 31826u);
+
+  struct Pinned {
+    double rt_mean, rt_p50, rt_p90, rt_p99, pt_p50, pt_p90, wt_p50;
+  };
+  const Pinned kPerType[] = {
+      {157.28036418376044, 21.150262000000001, 365.32308899999998,
+       405.99417099999999, 0.37417699999999998, 2.5053339999999999,
+       15.895629},
+      {156.87575667159476, 15.175554999999999, 370.39981999999998,
+       407.14321899999999, 2.2157420000000001, 4.2989090000000001,
+       11.422046999999999},
+      {169.35132601158747, 86.435416000000004, 381.33469300000002,
+       426.46371399999998, 7.6678069999999998, 27.061060000000001,
+       11.667078999999999},
+      {247.46762708310888, 289.95052500000003, 401.57761399999998,
+       460.20498400000002, 12.670453, 43.743713,
+       271.856359},
+  };
+  for (size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE(result.per_type[i].name);
+    const TypeStats& t = result.per_type[i];
+    EXPECT_EQ(t.rt_mean_ms, kPerType[i].rt_mean);
+    EXPECT_EQ(t.rt_p50_ms, kPerType[i].rt_p50);
+    EXPECT_EQ(t.rt_p90_ms, kPerType[i].rt_p90);
+    EXPECT_EQ(t.rt_p99_ms, kPerType[i].rt_p99);
+    EXPECT_EQ(t.pt_p50_ms, kPerType[i].pt_p50);
+    EXPECT_EQ(t.pt_p90_ms, kPerType[i].pt_p90);
+    EXPECT_EQ(t.wt_p50_ms, kPerType[i].wt_p50);
+  }
+  const TypeStats& all = result.overall;
+  EXPECT_EQ(all.rt_p50_ms, 235.99155200000001);
+  EXPECT_EQ(all.rt_p90_ms, 376.54726699999998);
+  EXPECT_EQ(all.rt_p99_ms, 415.92671200000001);
+  EXPECT_EQ(all.pt_p50_ms, 2.1709360000000002);
+  EXPECT_EQ(all.pt_p90_ms, 15.860951);
+  EXPECT_EQ(all.wt_p50_ms, 0.0);
+  // The pooled mean is a floating-point sum, so its last bits depend on
+  // summation order. It sums each type's samples in arrival order; the
+  // sort-based quantiles this replaced left each type's samples sorted
+  // before pooling, and that order gave 167.20154636485873 (61 ulps off).
+  EXPECT_EQ(all.rt_mean_ms, 167.20154636485699);
+  EXPECT_NEAR(all.rt_mean_ms, 167.20154636485873, 1e-11);
+}
+
 }  // namespace
 }  // namespace bouncer::sim

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -194,6 +199,71 @@ TEST(DualHistogramTest, ConcurrentForceSwapKeepsCountExact) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(h.SwapCount(), kThreads * kSwapsPerThread);
+}
+
+// Timed and forced swaps racing each other, every one of them publishing
+// (min_samples_to_publish = 0), must never leave the seqlock version odd:
+// a reader would then spin in ReadSummary() forever (regression: two
+// interleaved publishers could do exactly that).
+TEST(DualHistogramTest, ConcurrentPublishersNeverWedgeReaders) {
+  DualHistogram h(TestOptions(kMillisecond, /*min_samples=*/0));
+  std::atomic<Nanos> clock{kSecond};
+  constexpr int kPublishers = 4;
+  constexpr int kSwapsPerPublisher = 20'000;
+  std::atomic<int> publishers_left{kPublishers};
+  std::vector<std::thread> publishers;
+  for (int p = 0; p < kPublishers; ++p) {
+    publishers.emplace_back([&, p] {
+      for (int i = 0; i < kSwapsPerPublisher; ++i) {
+        h.Record((1 + (i % 7)) * kMillisecond);
+        if ((i + p) % 2 == 0) {
+          h.ForceSwap();
+        } else {
+          // Each call jumps the clock far past the swap deadline.
+          h.MaybeSwap(clock.fetch_add(kSecond) + kSecond);
+        }
+      }
+      publishers_left.fetch_sub(1);
+    });
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool reader_done = false;
+  std::thread reader([&] {
+    uint64_t reads = 0;
+    // Keep reading until every publisher is done, then once more.
+    while (publishers_left.load() > 0 || reads == 0) {
+      const HistogramSummary s = h.ReadSummary();
+      if (s.count > 0) {
+        EXPECT_LE(s.p50, s.p90);
+        EXPECT_LE(s.p90, s.p99);
+      }
+      ++reads;
+    }
+    h.ReadSummary();
+    std::lock_guard<std::mutex> lock(mu);
+    reader_done = true;
+    cv.notify_one();
+  });
+
+  for (auto& t : publishers) t.join();
+  bool finished = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    finished = cv.wait_for(lock, std::chrono::seconds(30),
+                           [&] { return reader_done; });
+  }
+  if (!finished) {
+    // The reader is stuck inside ReadSummary() on an odd version and can
+    // never be joined: end the run as a failure instead of hanging.
+    std::fprintf(stderr, "ReadSummary() wedged after concurrent swaps\n");
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  reader.join();
+  // Every ForceSwap() swaps; a timed swap can lose its CAS to another.
+  EXPECT_GE(h.SwapCount(), kPublishers * kSwapsPerPublisher / 2u);
 }
 
 }  // namespace
