@@ -466,10 +466,6 @@ LadderResult RunLadder(const GraphStore& graph,
   server_options.read_ring_bytes = 1 << 12;
   server_options.write_ring_bytes = 1 << 12;
   server_options.max_inflight_per_conn = 16;
-  // 32k+ fleets with 512 x 4k provided buffers per loop would pin tens
-  // of MB per ring; the staged-copy design only needs enough buffers to
-  // cover one wakeup's worth of CQEs.
-  server_options.uring_buf_count = 256;
   net::NetServer server(&cluster, server_options);
   if (!server.Start().ok()) {
     std::fprintf(stderr, "server start failed\n");

@@ -199,11 +199,10 @@ int main(int argc, char** argv) {
     }
     std::signal(SIGINT, OnSignal);
     std::signal(SIGTERM, OnSignal);
-    std::printf("listening on %s:%u (%s backend, %zu loop%s%s)\n",
+    std::printf("listening on %s:%u (%s backend, %zu loop%s)\n",
                 server_options.bind_address.c_str(), server.port(),
                 net::NetBackendName(server.backend()), server.num_loops(),
-                server.num_loops() == 1 ? "" : "s",
-                server.handoff_mode() ? ", fd-handoff fallback" : "");
+                server.num_loops() == 1 ? "" : "s");
     if (!server.backend_fallback_reason().empty()) {
       std::printf("  (io_uring unavailable: %s)\n",
                   server.backend_fallback_reason().c_str());

@@ -480,7 +480,12 @@ uint64_t Cluster::RunBfs(const GraphQuery& query, uint32_t max_depth,
   if (query.source == query.target) return 0;
   WorkerScratch& scratch = tls_scratch;
   scratch.bfs_visited.NextEpoch(graph_->num_vertices());
-  scratch.bfs_visited.Insert(query.source);
+  // A source outside the graph has no neighbours, so marking it could
+  // filter nothing; skipping it keeps a wire-supplied id from sizing the
+  // visited set.
+  if (query.source < graph_->num_vertices()) {
+    scratch.bfs_visited.Insert(query.source);
+  }
   std::vector<uint32_t>& frontier = scratch.frontier;
   std::vector<uint32_t>& next = scratch.next;
   frontier.clear();

@@ -9,9 +9,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "src/net/net_server_internal.h"
 #include "src/util/clock.h"
@@ -37,11 +39,10 @@ ResponseStatus ToStatus(Outcome outcome, bool result_ok) {
   return ResponseStatus::kFailed;
 }
 
-/// Data-path syscall accounting (Stats::syscalls). Templated so it never
-/// names the private LoopCounters type.
-template <typename Counters>
-void CountSyscall(Counters& counters, uint64_t n = 1) {
-  counters.syscalls.fetch_add(n, std::memory_order_relaxed);
+/// "<step> failed: <errno text>".
+Status SysError(const char* step) {
+  return Status::Internal(std::string(step) +
+                          " failed: " + std::strerror(errno));
 }
 
 }  // namespace
@@ -98,24 +99,6 @@ NetServer::NetServer(graph::Cluster* cluster, const Options& options)
 NetServer::~NetServer() { Stop(); }
 
 Status NetServer::StartListeners() {
-  // Reuseport path: one listener per loop, all bound to the same port,
-  // the kernel hashes incoming connections across them. Any failure
-  // after loop 0's listener is up falls back to handoff mode (loop 0
-  // accepts for everyone) rather than failing Start; extra listeners
-  // already bound are closed so exactly one thread ever accepts then.
-  const bool want_reuseport =
-      !options_.force_fd_handoff && loops_.size() > 1;
-  handoff_mode_ = !want_reuseport && loops_.size() > 1;
-  const auto fall_back = [this] {
-    for (size_t j = 1; j < loops_.size(); ++j) {
-      if (loops_[j]->listen_fd >= 0) {
-        ::close(loops_[j]->listen_fd);
-        loops_[j]->listen_fd = -1;
-      }
-    }
-    handoff_mode_ = true;
-  };
-
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
@@ -123,45 +106,32 @@ Status NetServer::StartListeners() {
     return Status::InvalidArgument("bad bind address: " +
                                    options_.bind_address);
   }
-  const size_t listeners = handoff_mode_ ? 1 : loops_.size();
-  for (size_t i = 0; i < listeners; ++i) {
-    const int fd =
+  // One listener per loop, all bound to the same port: SO_REUSEPORT lets
+  // the kernel hash incoming connections across them, so accepting needs
+  // no shared state. Any failure fails Start(), which closes what was
+  // already bound.
+  const bool reuseport = loops_.size() > 1;
+  for (auto& loop : loops_) {
+    loop->listen_fd =
         ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      if (i == 0) return Status::Internal("socket() failed");
-      fall_back();
-      return Status::OK();
-    }
+    const int fd = loop->listen_fd;
+    if (fd < 0) return SysError("listener socket()");
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (want_reuseport &&
+    if (reuseport &&
         ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      // Kernel without SO_REUSEPORT: single listener + fd handoff.
-      if (i > 0) {
-        ::close(fd);
-        fall_back();
-        return Status::OK();
-      }
-      handoff_mode_ = true;
+      return SysError("setsockopt(SO_REUSEPORT)");
     }
-    addr.sin_port = htons(i == 0 ? options_.port : port_);
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-        ::listen(fd, options_.listen_backlog) < 0) {
-      ::close(fd);
-      if (i == 0) {
-        return Status::Internal(std::string("bind/listen failed: ") +
-                                std::strerror(errno));
-      }
-      fall_back();
-      return Status::OK();
+    addr.sin_port = htons(port_ == 0 ? options_.port : port_);
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+      return SysError("bind");
     }
-    if (i == 0) {
+    if (::listen(fd, options_.listen_backlog) < 0) return SysError("listen");
+    if (port_ == 0) {
       socklen_t addr_len = sizeof(addr);
       ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
       port_ = ntohs(addr.sin_port);
     }
-    loops_[i]->listen_fd = fd;
-    if (handoff_mode_) break;  // SO_REUSEPORT failed on loop 0's socket.
   }
   return Status::OK();
 }
@@ -171,8 +141,6 @@ Status NetServer::Start() {
     return Status::FailedPrecondition("server already started");
   }
   loops_.clear();  // Restart after Stop(): previous loops' stats reset.
-  handoff_mode_ = false;
-  handoff_rr_ = 0;
   port_ = 0;
   total_live_.store(0, std::memory_order_relaxed);
 
@@ -183,11 +151,9 @@ Status NetServer::Start() {
   size_t ring = options_.max_connections * 64 / num_loops;
   if (ring < (1u << 12)) ring = 1u << 12;
   if (ring > (1u << 16)) ring = 1u << 16;
-  const size_t mailbox =
-      options_.max_connections < 1024 ? 1024 : options_.max_connections;
   loops_.reserve(num_loops);
   for (size_t i = 0; i < num_loops; ++i) {
-    loops_.push_back(std::make_unique<Loop>(this, i, ring, mailbox));
+    loops_.push_back(std::make_unique<Loop>(this, i, ring));
     Loop& loop = *loops_.back();
     loop.batch.reserve(options_.max_batch);
     loop.batch_tokens.reserve(options_.max_batch);
@@ -255,11 +221,10 @@ Status NetServer::Start() {
         return Status::Internal("epoll setup failed");
       }
       epoll_event ev{};
-      if (loop.listen_fd >= 0) {
-        ev.events = EPOLLIN;
-        ev.data.u64 = kListenToken;
-        ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.listen_fd, &ev);
-      }
+      ev.events = EPOLLIN;
+      ev.data.u64 = kListenToken;
+      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.listen_fd, &ev);
+      loop.accept_armed = true;
       ev.events = EPOLLIN;
       ev.data.u64 = kEventToken;
       ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.event_fd, &ev);
@@ -270,28 +235,9 @@ Status NetServer::Start() {
     metrics_collector_handle_ =
         options_.metrics->AddCollector([this](stats::MetricSink& sink) {
           const Stats s = AggregateStats();
-          sink.AddCounter("net.connections_accepted", s.connections_accepted);
-          sink.AddCounter("net.connections_dropped", s.connections_dropped);
-          sink.AddCounter("net.connections_closed", s.connections_closed);
-          sink.AddCounter("net.requests", s.requests);
-          sink.AddCounter("net.responses", s.responses);
-          sink.AddCounter("net.rejections", s.rejections);
-          sink.AddCounter("net.rejections_policy", s.rejections_policy);
-          sink.AddCounter("net.rejections_queue", s.rejections_queue);
-          sink.AddCounter("net.failures_shard", s.failures_shard);
-          sink.AddCounter("net.expirations", s.expirations);
-          sink.AddCounter("net.bad_frames", s.bad_frames);
-          sink.AddCounter("net.submit_batches", s.submit_batches);
-          sink.AddCounter("net.pauses", s.pauses);
-          sink.AddCounter("net.pauses_inflight", s.pauses_inflight);
-          sink.AddCounter("net.pauses_tx", s.pauses_tx);
-          sink.AddCounter("net.pauses_overload", s.pauses_overload);
-          sink.AddCounter("net.admin_requests", s.admin_requests);
-          sink.AddCounter("net.handoffs", s.handoffs);
-          sink.AddCounter("net.nodelay_failures", s.nodelay_failures);
-          sink.AddCounter("net.syscalls", s.syscalls);
-          sink.AddCounter("net.wakeups", s.wakeups);
-          sink.AddCounter("net.eventfd_wakeups", s.eventfd_wakeups);
+#define BOUNCER_NET_EXPORT_COUNTER(name) sink.AddCounter("net." #name, s.name);
+          BOUNCER_NET_COUNTERS(BOUNCER_NET_EXPORT_COUNTER)
+#undef BOUNCER_NET_EXPORT_COUNTER
           // 1 when the io_uring backend is serving, 0 for epoll — how
           // `net_client --stats` learns which backend answered it.
           sink.AddGauge("net.backend_io_uring",
@@ -354,7 +300,7 @@ Status NetServer::Start() {
   running_.store(true, std::memory_order_release);
   for (auto& loop_ptr : loops_) {
     Loop& loop = *loop_ptr;
-    loop.thread = std::thread([this, &loop] { LoopThread(loop); });
+    loop.thread = std::thread([this, &loop] { RunLoop(loop); });
   }
   return Status::OK();
 }
@@ -386,9 +332,6 @@ void NetServer::Stop() {
 void NetServer::CloseAll() {
   for (auto& loop_ptr : loops_) {
     Loop& loop = *loop_ptr;
-    // Handed-off fds nobody adopted.
-    int fd;
-    while (loop.fd_mailbox.TryPop(fd)) ::close(fd);
     for (auto& slot : loop.slots) {
       if (slot && slot->fd >= 0) {
         ::close(slot->fd);
@@ -423,31 +366,10 @@ NetServer::Stats NetServer::LoopStats(size_t loop) const {
   Stats s;
   if (loop >= loops_.size()) return s;
   const LoopCounters& c = loops_[loop]->counters;
-  s.connections_accepted =
-      c.connections_accepted.load(std::memory_order_relaxed);
-  s.connections_dropped =
-      c.connections_dropped.load(std::memory_order_relaxed);
-  s.connections_closed =
-      c.connections_closed.load(std::memory_order_relaxed);
-  s.requests = c.requests.load(std::memory_order_relaxed);
-  s.responses = c.responses.load(std::memory_order_relaxed);
-  s.rejections = c.rejections.load(std::memory_order_relaxed);
-  s.rejections_policy = c.rejections_policy.load(std::memory_order_relaxed);
-  s.rejections_queue = c.rejections_queue.load(std::memory_order_relaxed);
-  s.failures_shard = c.failures_shard.load(std::memory_order_relaxed);
-  s.expirations = c.expirations.load(std::memory_order_relaxed);
-  s.bad_frames = c.bad_frames.load(std::memory_order_relaxed);
-  s.submit_batches = c.submit_batches.load(std::memory_order_relaxed);
-  s.pauses = c.pauses.load(std::memory_order_relaxed);
-  s.pauses_inflight = c.pauses_inflight.load(std::memory_order_relaxed);
-  s.pauses_tx = c.pauses_tx.load(std::memory_order_relaxed);
-  s.pauses_overload = c.pauses_overload.load(std::memory_order_relaxed);
-  s.admin_requests = c.admin_requests.load(std::memory_order_relaxed);
-  s.handoffs = c.handoffs.load(std::memory_order_relaxed);
-  s.nodelay_failures = c.nodelay_failures.load(std::memory_order_relaxed);
-  s.syscalls = c.syscalls.load(std::memory_order_relaxed);
-  s.wakeups = c.wakeups.load(std::memory_order_relaxed);
-  s.eventfd_wakeups = c.eventfd_wakeups.load(std::memory_order_relaxed);
+#define BOUNCER_NET_LOAD_COUNTER(name) \
+  s.name = c.name.load(std::memory_order_relaxed);
+  BOUNCER_NET_COUNTERS(BOUNCER_NET_LOAD_COUNTER)
+#undef BOUNCER_NET_LOAD_COUNTER
   s.backend = backend_;
   return s;
 }
@@ -456,28 +378,9 @@ NetServer::Stats NetServer::AggregateStats() const {
   Stats total;
   for (size_t i = 0; i < loops_.size(); ++i) {
     const Stats s = LoopStats(i);
-    total.connections_accepted += s.connections_accepted;
-    total.connections_dropped += s.connections_dropped;
-    total.connections_closed += s.connections_closed;
-    total.requests += s.requests;
-    total.responses += s.responses;
-    total.rejections += s.rejections;
-    total.rejections_policy += s.rejections_policy;
-    total.rejections_queue += s.rejections_queue;
-    total.failures_shard += s.failures_shard;
-    total.expirations += s.expirations;
-    total.bad_frames += s.bad_frames;
-    total.submit_batches += s.submit_batches;
-    total.pauses += s.pauses;
-    total.pauses_inflight += s.pauses_inflight;
-    total.pauses_tx += s.pauses_tx;
-    total.pauses_overload += s.pauses_overload;
-    total.admin_requests += s.admin_requests;
-    total.handoffs += s.handoffs;
-    total.nodelay_failures += s.nodelay_failures;
-    total.syscalls += s.syscalls;
-    total.wakeups += s.wakeups;
-    total.eventfd_wakeups += s.eventfd_wakeups;
+#define BOUNCER_NET_SUM_COUNTER(name) total.name += s.name;
+    BOUNCER_NET_COUNTERS(BOUNCER_NET_SUM_COUNTER)
+#undef BOUNCER_NET_SUM_COUNTER
   }
   total.backend = backend_;
   return total;
@@ -494,7 +397,7 @@ NetServer::Connection* NetServer::Resolve(Loop& loop, uint64_t token) {
   return conn;
 }
 
-void NetServer::UpdateEpoll(Loop& loop, Connection* conn) {
+void NetServer::UpdateInterest(Loop& loop, Connection* conn) {
   if (backend_ == NetBackend::kUring) {
     UringUpdateInterest(loop, conn);
     return;
@@ -515,7 +418,7 @@ void NetServer::PauseRead(Loop& loop, Connection* conn) {
   if (!conn->want_read) return;
   conn->want_read = false;
   loop.counters.pauses.fetch_add(1, std::memory_order_relaxed);
-  UpdateEpoll(loop, conn);
+  UpdateInterest(loop, conn);
 }
 
 void NetServer::ResumeRead(Loop& loop, Connection* conn) {
@@ -525,14 +428,21 @@ void NetServer::ResumeRead(Loop& loop, Connection* conn) {
     return;
   }
   conn->want_read = true;
-  UpdateEpoll(loop, conn);
+  UpdateInterest(loop, conn);
   // Bytes may already be buffered (or the kernel buffer full); parse and
   // read rather than waiting for another edge.
   ParseConn(loop, conn);
   ReadConn(loop, conn);
 }
 
-void NetServer::AdoptFd(Loop& loop, int fd) {
+void NetServer::Accepted(Loop& loop, int fd) {
+  if (total_live_.fetch_add(1, std::memory_order_relaxed) >=
+      options_.max_connections) {
+    total_live_.fetch_sub(1, std::memory_order_relaxed);
+    loop.counters.connections_dropped.fetch_add(1, std::memory_order_relaxed);
+    ::close(fd);
+    return;
+  }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   // Verify: small length-prefixed frames must never be Nagle-delayed.
@@ -587,13 +497,13 @@ void NetServer::AdoptFd(Loop& loop, int fd) {
 
   if (backend_ == NetBackend::kUring) {
     // Multishot recv plays the role of the persistent EPOLLIN interest;
-    // bytes that arrived before the arm (handed-off fds) surface as a
-    // completion as soon as the SQE is submitted.
+    // bytes that arrived before the arm surface as a completion as soon
+    // as the SQE is submitted.
     UringArmRecv(loop, conn);
     return;
   }
-  // Level-triggered EPOLLIN: bytes that arrived before this ADD (e.g. on
-  // a handed-off fd) surface on the next epoll_wait.
+  // Level-triggered EPOLLIN: bytes that arrived before this ADD surface
+  // on the next epoll_wait.
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLRDHUP;
   ev.data.u64 = conn->Token();
@@ -601,57 +511,39 @@ void NetServer::AdoptFd(Loop& loop, int fd) {
   CountSyscall(loop.counters);
 }
 
-void NetServer::AcceptReady(Loop& loop) {
+bool NetServer::AcceptFailed(Loop& loop, int err) {
+  // Anything else (ECONNABORTED, EINTR, EAGAIN, ECANCELED...) concerns
+  // one connection or none; the listener stays polled.
+  if (err != EMFILE && err != ENFILE && err != ENOBUFS && err != ENOMEM) {
+    return false;
+  }
+  loop.accept_retry_at = SystemClock::Global()->Now() + kAcceptBackoff;
+  return true;
+}
+
+void NetServer::EpollAcceptReady(Loop& loop) {
   for (;;) {
     CountSyscall(loop.counters);
     const int fd = ::accept4(loop.listen_fd, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error: done for now.
-    HandleAccepted(loop, fd);
-  }
-}
-
-/// Shared accept tail: cap enforcement and (in handoff mode) mailing
-/// the fd to its round-robin target. Both backends' accept paths land
-/// here.
-void NetServer::HandleAccepted(Loop& loop, int fd) {
-  if (total_live_.fetch_add(1, std::memory_order_relaxed) >=
-      options_.max_connections) {
-    total_live_.fetch_sub(1, std::memory_order_relaxed);
-    loop.counters.connections_dropped.fetch_add(1, std::memory_order_relaxed);
-    ::close(fd);
-    return;
-  }
-  if (handoff_mode_ && loops_.size() > 1) {
-    // Loop 0 accepts for everyone; fds round-robin across the loops
-    // (including loop 0 itself) through each target's mailbox.
-    const size_t target = handoff_rr_++ % loops_.size();
-    if (target != loop.id) {
-      Loop& other = *loops_[target];
-      int mailed = fd;
-      if (other.fd_mailbox.TryPush(std::move(mailed))) {
-        loop.counters.handoffs.fetch_add(1, std::memory_order_relaxed);
-        WriteEventFd(other.event_fd);
-        CountSyscall(loop.counters);
-        return;
-      }
-      // Mailbox full (target loop badly behind): keep it local rather
-      // than dropping the connection.
-    }
-  }
-  AdoptFd(loop, fd);
-}
-
-void NetServer::DrainMailbox(Loop& loop) {
-  int fd;
-  while (loop.fd_mailbox.TryPop(fd)) {
-    if (stop_requested_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      total_live_.fetch_sub(1, std::memory_order_relaxed);
+    if (fd >= 0) {
+      Accepted(loop, fd);
       continue;
     }
-    AdoptFd(loop, fd);
+    // The listener is level-triggered: left armed while the fd table is
+    // full, epoll_wait would report it again at once.
+    if (AcceptFailed(loop, errno)) EpollWatchListener(loop, 0);
+    return;
   }
+}
+
+void NetServer::EpollWatchListener(Loop& loop, uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = kListenToken;
+  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, loop.listen_fd, &ev);
+  CountSyscall(loop.counters);
+  loop.accept_armed = events != 0;
 }
 
 void NetServer::CloseConn(Loop& loop, Connection* conn) {
@@ -708,9 +600,7 @@ void NetServer::ReadConn(Loop& loop, Connection* conn) {
       continue;
     }
     if (n == 0) {
-      // EOF: answer what is owed, flush, then close.
-      conn->closing = true;
-      if (conn->owed == 0 && conn->tx.empty()) CloseConn(loop, conn);
+      PeerClosed(loop, conn);
       return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -818,10 +708,13 @@ void NetServer::ParseConn(Loop& loop, Connection* conn) {
     graph::Cluster::BatchRequest request;
     request.query = ToGraphQuery(frame);
     request.tenant = tenant;
+    // Saturating: a hostile relative deadline cannot overflow the clock.
+    const auto headroom =
+        static_cast<uint64_t>(std::numeric_limits<Nanos>::max() - now);
     request.deadline =
         frame.deadline_ns == 0
             ? 0
-            : now + static_cast<Nanos>(frame.deadline_ns);
+            : now + static_cast<Nanos>(std::min(frame.deadline_ns, headroom));
     request.id = frame.id;
     request.traced = traced;
     // 8-byte capture: stays in std::function's inline buffer.
@@ -1153,36 +1046,52 @@ void NetServer::FlushConn(Loop& loop, Connection* conn) {
     CloseConn(loop, conn);
     return;
   }
-  if (conn->tx.empty() && conn->read_paused_tx) {
+  if (conn->tx.empty() && !TxDrained(loop, conn)) return;
+  UpdateInterest(loop, conn);  // Arm EPOLLOUT iff bytes remain.
+}
+
+bool NetServer::TxDrained(Loop& loop, Connection* conn) {
+  if (conn->read_paused_tx) {
     conn->read_paused_tx = false;
     ResumeRead(loop, conn);
   }
+  CloseIfDone(loop, conn);
+  return conn->fd >= 0;
+}
+
+void NetServer::PeerClosed(Loop& loop, Connection* conn) {
+  conn->closing = true;
+  CloseIfDone(loop, conn);
+}
+
+void NetServer::CloseIfDone(Loop& loop, Connection* conn) {
   if (conn->closing && conn->owed == 0 && conn->tx.empty()) {
     CloseConn(loop, conn);
-    return;
   }
-  UpdateEpoll(loop, conn);  // Arm EPOLLOUT iff bytes remain.
 }
 
-void NetServer::LoopThread(Loop& loop) {
+void NetServer::WaitReturned(Loop& loop) {
+  loop.done_waiting.store(false, std::memory_order_relaxed);
+  loop.counters.wakeups.fetch_add(1, std::memory_order_relaxed);
+}
+
+void NetServer::RunLoop(Loop& loop) {
   loop.tid.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  if (backend_ == NetBackend::kUring) {
-    UringRun(loop);
-  } else {
-    EpollRun(loop);
-  }
-  // Drain loop-side state so queued completions don't linger unanswered
-  // in the ring (they resolve to dead connections after Stop closes fds).
-  DrainCompletions(loop);
-}
-
-void NetServer::EpollRun(Loop& loop) {
-  epoll_event events[kMaxEpollEvents];
+  const bool uring = backend_ == NetBackend::kUring;
   while (!stop_requested_.load(std::memory_order_acquire)) {
     // Overload pauses are re-checked on a short timer (the broker queue
-    // drains without producing an event we could wait on); otherwise a
-    // long timeout keeps an idle server quiet.
-    int timeout_ms = loop.overload_paused ? 1 : 100;
+    // drains without producing an event we could wait on), and a
+    // backed-off accept at its retry time; otherwise a long timeout
+    // keeps an idle server quiet.
+    Nanos timeout = loop.overload_paused ? kMillisecond : 100 * kMillisecond;
+    if (loop.accept_retry_at != 0) {
+      const Nanos now = SystemClock::Global()->Now();
+      if (now >= loop.accept_retry_at) {
+        loop.accept_retry_at = 0;  // The transport re-arms its listener.
+      } else {
+        timeout = std::min(timeout, loop.accept_retry_at - now);
+      }
+    }
     // Pre-wait handshake with OnQueryDone's worker side: declare we are
     // about to block, then re-check the done ring. Seq_cst fences make
     // this a store-buffering (Dekker) pair — a worker push either shows
@@ -1191,42 +1100,19 @@ void NetServer::EpollRun(Loop& loop) {
     loop.done_signal.store(false, std::memory_order_relaxed);
     loop.done_waiting.store(true, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!loop.done_ring.EmptyApprox()) timeout_ms = 0;
-    const int n = ::epoll_wait(loop.epoll_fd, events, kMaxEpollEvents,
-                               timeout_ms);
-    loop.done_waiting.store(false, std::memory_order_relaxed);
-    CountSyscall(loop.counters);
-    loop.counters.wakeups.fetch_add(1, std::memory_order_relaxed);
-    for (int i = 0; i < n; ++i) {
-      const uint64_t token = events[i].data.u64;
-      if (token == kListenToken) {
-        AcceptReady(loop);
-        continue;
-      }
-      if (token == kEventToken) {
-        uint64_t drained;
-        [[maybe_unused]] ssize_t r =
-            ::read(loop.event_fd, &drained, sizeof(drained));
-        CountSyscall(loop.counters);
-        DrainMailbox(loop);
-        continue;
-      }
-      Connection* conn = Resolve(loop, token);
-      if (conn == nullptr) continue;  // Stale event for a closed conn.
-      if (events[i].events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
-        ReadConn(loop, conn);
-      }
-      if (conn->fd >= 0 && (events[i].events & EPOLLOUT)) {
-        FlushConn(loop, conn);
-      }
+    if (!loop.done_ring.EmptyApprox()) timeout = 0;
+    if (uring) {
+      UringWaitAndDispatch(loop, timeout);
+    } else {
+      EpollWaitAndDispatch(loop, timeout);
     }
     // One admission episode for everything parsed this wakeup, then
     // answer whatever completed — the batch's synchronous rejections are
     // delivered inside SubmitParsed and flushed in this same iteration.
     // The drain/flush/resume phases can themselves parse new requests
     // (ResumeRead re-parses buffered bytes), so repeat until nothing is
-    // left rather than let a resumed request sit in the batch across an
-    // epoll_wait (up to the idle timeout away). Each pass consumes real
+    // left rather than let a resumed request sit in the batch across a
+    // wait (up to the idle timeout away). Each pass consumes real
     // buffered bytes or ring entries, so the loop terminates.
     do {
       SubmitParsed(loop);
@@ -1240,6 +1126,43 @@ void NetServer::EpollRun(Loop& loop) {
       }
       MaybeResumePaused(loop);
     } while (!loop.batch.empty());
+  }
+  // Drain loop-side state so queued completions don't linger unanswered
+  // in the ring (they resolve to dead connections after Stop closes fds).
+  DrainCompletions(loop);
+}
+
+void NetServer::EpollWaitAndDispatch(Loop& loop, Nanos timeout) {
+  if (!loop.accept_armed && loop.accept_retry_at == 0) {
+    EpollWatchListener(loop, EPOLLIN);
+  }
+  epoll_event events[kMaxEpollEvents];
+  const int n = ::epoll_wait(
+      loop.epoll_fd, events, kMaxEpollEvents,
+      static_cast<int>((timeout + kMillisecond - 1) / kMillisecond));
+  CountSyscall(loop.counters);
+  WaitReturned(loop);
+  for (int i = 0; i < n; ++i) {
+    const uint64_t token = events[i].data.u64;
+    if (token == kListenToken) {
+      EpollAcceptReady(loop);
+      continue;
+    }
+    if (token == kEventToken) {
+      uint64_t drained;
+      [[maybe_unused]] ssize_t r =
+          ::read(loop.event_fd, &drained, sizeof(drained));
+      CountSyscall(loop.counters);
+      continue;
+    }
+    Connection* conn = Resolve(loop, token);
+    if (conn == nullptr) continue;  // Stale event for a closed conn.
+    if (events[i].events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
+      ReadConn(loop, conn);
+    }
+    if (conn->fd >= 0 && (events[i].events & EPOLLOUT)) {
+      FlushConn(loop, conn);
+    }
   }
 }
 

@@ -35,24 +35,72 @@ const char* NetBackendName(NetBackend backend);
 /// else, leaving `out` untouched.
 bool ParseNetBackend(const std::string& text, NetBackend* out);
 
-/// Linux epoll TCP front door for a graph::Cluster, sharded across N
+/// NetServer's counters, declared once: the Stats snapshot fields, the
+/// per-loop atomic block, the per-loop/aggregate readers and the
+/// "net.<name>" metrics all expand this list.
+///
+///   connections_dropped  no free slot, or over max_connections
+///   rejections           kRejected + kShedded responses, split into
+///                        rejections_policy (the admission policy said
+///                        no) and rejections_queue (shed on a full
+///                        bounded queue)
+///   failures_shard       kFailed: a shard-side subquery was lost
+///   expirations          kExpired responses
+///   pauses               read-interest disarm episodes, split by cause
+///                        into pauses_inflight (inflight cap), pauses_tx
+///                        (write-ring space) and pauses_overload
+///                        (broker-queue sheds)
+///   admin_requests       admin opcodes served
+///   nodelay_failures     TCP_NODELAY not verified on an accepted socket
+///   syscalls             data-path syscalls: waits, readv/sendmsg/
+///                        accept4, epoll_ctl, io_uring_enter, eventfd
+///                        reads and writes. Divided by `responses` this
+///                        is the per-request syscall cost the backends
+///                        compete on.
+///   wakeups              blocking-wait returns (epoll/io_uring)
+///   eventfd_wakeups      completion-signal write(2)s workers actually
+///                        issued; pushes that found the loop awake are
+///                        coalesced away (no syscall)
+#define BOUNCER_NET_COUNTERS(X) \
+  X(connections_accepted)       \
+  X(connections_dropped)        \
+  X(connections_closed)         \
+  X(requests)                   \
+  X(responses)                  \
+  X(rejections)                 \
+  X(rejections_policy)          \
+  X(rejections_queue)           \
+  X(failures_shard)             \
+  X(expirations)                \
+  X(bad_frames)                 \
+  X(submit_batches)             \
+  X(pauses)                     \
+  X(pauses_inflight)            \
+  X(pauses_tx)                  \
+  X(pauses_overload)            \
+  X(admin_requests)             \
+  X(nodelay_failures)           \
+  X(syscalls)                   \
+  X(wakeups)                    \
+  X(eventfd_wakeups)
+
+/// Linux TCP front door for a graph::Cluster, sharded across N
 /// independent event loops (`Options::num_loops`, default
 /// min(hardware threads, 4)) so the front-end scales with cores instead
 /// of serializing every connection behind one loop thread.
 ///
-/// Each loop is a self-contained reactor: its own epoll fd, its own
-/// `SO_REUSEPORT` listener (the kernel hashes incoming connections
-/// across the listeners; when `SO_REUSEPORT` is unavailable — or
-/// `Options::force_fd_handoff` is set — loop 0 owns the only listener
-/// and hands accepted fds to the other loops round-robin through a
-/// per-loop mailbox ring + eventfd), its own connection-slot table and
-/// byte rings, its own parse/submit batch buffers, its own
-/// `ObjectPool` of per-request records, and its own completion ring +
-/// eventfd. Nothing mutable is shared between loops on the hot path —
-/// the zero-allocation, single-writer discipline of the original
-/// single-loop design holds per loop — and all loops stream their
-/// parsed batches into the shared admission stages via
-/// `Cluster::SubmitBatch`.
+/// Each loop is a self-contained reactor: its own `SO_REUSEPORT`
+/// listener (the kernel hashes incoming connections across the
+/// listeners; Start() fails if a listener cannot be bound), its own
+/// connection-slot table and byte rings, its own parse/submit batch
+/// buffers, its own `ObjectPool` of per-request records, and its own
+/// completion ring + eventfd. Nothing mutable is shared between loops on
+/// the hot path — the zero-allocation, single-writer discipline of the
+/// original single-loop design holds per loop — and all loops stream
+/// their parsed batches into the shared admission stages via
+/// `Cluster::SubmitBatch`. Every loop runs the same skeleton (RunLoop);
+/// the epoll and io_uring transports differ only in how they wait and
+/// dispatch what the wait returned.
 ///
 /// Completions route back to the owning loop through a 64-bit
 /// generation-stamped connection token:
@@ -82,10 +130,6 @@ class NetServer {
     /// Event loops. 0 = min(hardware threads, 4). Capped at 255 (the
     /// loop-id field of the connection token is 8 bits).
     size_t num_loops = 0;
-    /// Testing / legacy-kernel knob: skip `SO_REUSEPORT` and run the
-    /// accept-and-hand-off fallback (loop 0 accepts, fds round-robin to
-    /// the other loops through their mailboxes).
-    bool force_fd_handoff = false;
     size_t max_connections = 1024;  ///< Across all loops.
     size_t read_ring_bytes = 1 << 16;
     size_t write_ring_bytes = 1 << 17;
@@ -118,48 +162,16 @@ class NetServer {
     /// (see backend_fallback_reason()); kUring instead fails Start()
     /// when the kernel or the build (BOUNCER_IOURING=OFF) lacks it.
     NetBackend backend = NetBackend::kAuto;
-    /// io_uring only: provided recv buffers per loop (power of two) and
-    /// the size of each. Multishot recv completions land in these; the
-    /// loop copies them into the connection rx rings and recycles them.
-    size_t uring_buf_count = 512;
-    size_t uring_buf_bytes = 4096;
-    /// io_uring only: submission-queue entries per loop. Bounds the
-    /// SQEs batched into one io_uring_enter; overflow just flushes
-    /// early.
-    size_t uring_sq_entries = 1024;
   };
 
   /// Counter snapshot. Counters are accumulated per loop in
   /// cache-line-padded blocks (no false sharing between loops) and
-  /// summed on read by AggregateStats() / LoopStats().
+  /// summed on read by AggregateStats() / LoopStats(); each is also
+  /// exported as the "net.<name>" metric.
   struct Stats {
-    uint64_t connections_accepted = 0;
-    uint64_t connections_dropped = 0;  ///< No free slot / over cap.
-    uint64_t connections_closed = 0;
-    uint64_t requests = 0;
-    uint64_t responses = 0;
-    uint64_t rejections = 0;  ///< kRejected + kShedded responses.
-    uint64_t rejections_policy = 0;  ///< Admission policy said no.
-    uint64_t rejections_queue = 0;   ///< Shed on a full bounded queue.
-    uint64_t failures_shard = 0;     ///< kFailed: shard-side subquery loss.
-    uint64_t expirations = 0;        ///< kExpired responses.
-    uint64_t bad_frames = 0;
-    uint64_t submit_batches = 0;
-    uint64_t pauses = 0;    ///< EPOLLIN disarm episodes.
-    uint64_t pauses_inflight = 0;  ///< ... due to the inflight cap.
-    uint64_t pauses_tx = 0;        ///< ... due to write-ring space.
-    uint64_t pauses_overload = 0;  ///< ... due to broker-queue sheds.
-    uint64_t admin_requests = 0;   ///< Admin opcodes served.
-    uint64_t handoffs = 0;  ///< Fds mailed to another loop (fallback mode).
-    uint64_t nodelay_failures = 0;  ///< TCP_NODELAY not verified on accept.
-    /// Data-path syscalls: waits, readv/sendmsg/accept4, epoll_ctl,
-    /// io_uring_enter, eventfd reads and writes. Divided by `responses`
-    /// this is the per-request syscall cost the backends compete on.
-    uint64_t syscalls = 0;
-    uint64_t wakeups = 0;  ///< Blocking-wait returns (epoll/io_uring).
-    /// Completion-signal write(2)s workers actually issued; pushes that
-    /// found the loop awake are coalesced away (no syscall).
-    uint64_t eventfd_wakeups = 0;
+#define BOUNCER_NET_STATS_FIELD(name) uint64_t name = 0;
+    BOUNCER_NET_COUNTERS(BOUNCER_NET_STATS_FIELD)
+#undef BOUNCER_NET_STATS_FIELD
     /// Backend that produced these counters (resolved, never kAuto).
     NetBackend backend = NetBackend::kEpoll;
   };
@@ -187,9 +199,6 @@ class NetServer {
   Stats LoopStats(size_t loop) const;
   /// Event loops actually running (valid after Start()).
   size_t num_loops() const { return loops_.size(); }
-  /// True when the accept-and-hand-off fallback is active instead of
-  /// per-loop SO_REUSEPORT listeners.
-  bool handoff_mode() const { return handoff_mode_; }
   const Options& options() const { return options_; }
   /// The backend actually running (resolved at Start(); never kAuto
   /// afterwards).
@@ -233,46 +242,46 @@ class NetServer {
   /// Per-loop counters, cache-line aligned so two loops bumping their
   /// own counters never share a line.
   struct alignas(64) LoopCounters {
-    std::atomic<uint64_t> connections_accepted{0};
-    std::atomic<uint64_t> connections_dropped{0};
-    std::atomic<uint64_t> connections_closed{0};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> responses{0};
-    std::atomic<uint64_t> rejections{0};
-    std::atomic<uint64_t> rejections_policy{0};
-    std::atomic<uint64_t> rejections_queue{0};
-    std::atomic<uint64_t> failures_shard{0};
-    std::atomic<uint64_t> expirations{0};
-    std::atomic<uint64_t> bad_frames{0};
-    std::atomic<uint64_t> submit_batches{0};
-    std::atomic<uint64_t> pauses{0};
-    std::atomic<uint64_t> pauses_inflight{0};
-    std::atomic<uint64_t> pauses_tx{0};
-    std::atomic<uint64_t> pauses_overload{0};
-    std::atomic<uint64_t> admin_requests{0};
-    std::atomic<uint64_t> handoffs{0};
-    std::atomic<uint64_t> nodelay_failures{0};
-    std::atomic<uint64_t> syscalls{0};
-    std::atomic<uint64_t> wakeups{0};
-    std::atomic<uint64_t> eventfd_wakeups{0};
+#define BOUNCER_NET_LOOP_COUNTER(name) std::atomic<uint64_t> name{0};
+    BOUNCER_NET_COUNTERS(BOUNCER_NET_LOOP_COUNTER)
+#undef BOUNCER_NET_LOOP_COUNTER
   };
 
-  void LoopThread(Loop& loop);
-  void EpollRun(Loop& loop);
-  void AcceptReady(Loop& loop);
-  void HandleAccepted(Loop& loop, int fd);
-  void AdoptFd(Loop& loop, int fd);
-  void DrainMailbox(Loop& loop);
+  /// A loop thread's body: the one event-loop skeleton both transports
+  /// share (pre-wait handshake, wait timeout, wakeup accounting and the
+  /// submit/complete/flush phases), calling into the transport only to
+  /// wait and dispatch.
+  void RunLoop(Loop& loop);
+  /// Clears the pre-wait handshake and counts the wakeup; each
+  /// transport calls it right after its blocking syscall returns.
+  void WaitReturned(Loop& loop);
+  /// The shared accept path. Accepted() enforces max_connections and
+  /// adopts `fd` into the loop's slot table; AcceptFailed() returns true
+  /// when `err` means the fd table (or kernel memory) is exhausted, after
+  /// scheduling a retry: the transport stops polling its listener until
+  /// then, so a full table cannot spin the loop.
+  void Accepted(Loop& loop, int fd);
+  bool AcceptFailed(Loop& loop, int err);
   void ReadConn(Loop& loop, Connection* conn);
   void ParseConn(Loop& loop, Connection* conn);
   void SubmitParsed(Loop& loop);
   void DeliverDone(Loop& loop, const Done& done);
   void DrainCompletions(Loop& loop);
   void FlushConn(Loop& loop, Connection* conn);
+  /// The tx ring just drained: resumes a read the write-ring gate
+  /// paused and closes a half-closed connection that owes nothing.
+  /// Returns false when the connection is gone.
+  bool TxDrained(Loop& loop, Connection* conn);
+  /// Peer EOF: answer what is owed, flush, then close.
+  void PeerClosed(Loop& loop, Connection* conn);
+  /// Closes a half-closed connection once nothing is owed or unsent.
+  void CloseIfDone(Loop& loop, Connection* conn);
   void CloseConn(Loop& loop, Connection* conn);
   void PauseRead(Loop& loop, Connection* conn);
   void ResumeRead(Loop& loop, Connection* conn);
-  void UpdateEpoll(Loop& loop, Connection* conn);
+  /// Reconciles `conn`'s registered read/write interest with its state
+  /// (epoll_ctl, or UringUpdateInterest on io_uring).
+  void UpdateInterest(Loop& loop, Connection* conn);
   void MaybeResumePaused(Loop& loop);
   bool BrokersCongested() const;
   Connection* Resolve(Loop& loop, uint64_t token);
@@ -294,18 +303,27 @@ class NetServer {
   Status StartListeners();
   void CloseAll();
 
-  // io_uring backend (net_server_uring.cc; no-op stubs when the build
-  // compiles it out). The shared logic above calls into these through
-  // small backend branches at the transport touchpoints.
+  // epoll transport (net_server.cc; ReadConn, FlushConn and
+  // UpdateInterest hand off to their io_uring twins first thing).
+  void EpollWaitAndDispatch(Loop& loop, Nanos timeout);
+  void EpollAcceptReady(Loop& loop);
+  /// Sets the listener's registered events (EPOLLIN, or 0 while accept
+  /// is backed off).
+  void EpollWatchListener(Loop& loop, uint32_t events);
+
+  // io_uring transport (net_server_uring.cc; no-op stubs when the build
+  // compiles it out).
   bool UringSetupLoops();  ///< Rings per loop; false => fallback/fail.
   void UringDestroyLoop(Loop& loop);
-  void UringRun(Loop& loop);
-  void UringProcessCqes(Loop& loop);
+  /// Re-arms the multishot accept/eventfd poll and ENOBUFS-starved
+  /// recvs, submits every SQE the iteration prepared in the same
+  /// io_uring_enter that waits, then dispatches the CQEs.
+  void UringWaitAndDispatch(Loop& loop, Nanos timeout);
   void UringOnAccept(Loop& loop, int res, uint32_t flags);
   void UringOnRecv(Loop& loop, uint64_t user_data, int res, uint32_t flags);
   void UringOnSend(Loop& loop, uint64_t user_data, int res);
   void UringArmRecv(Loop& loop, Connection* conn);
-  /// The uring analogue of UpdateEpoll: reconciles want_read with the
+  /// The uring analogue of UpdateInterest: reconciles want_read with the
   /// armed multishot recv (arming or async-canceling as needed).
   void UringUpdateInterest(Loop& loop, Connection* conn);
   /// Drains staged recv buffers into rx, parses, and re-arms.
@@ -324,14 +342,11 @@ class NetServer {
 
   std::vector<std::unique_ptr<Loop>> loops_;
   uint16_t port_ = 0;
-  bool handoff_mode_ = false;
   NetBackend backend_ = NetBackend::kEpoll;  ///< Resolved at Start().
   std::string backend_fallback_reason_;
   /// Live connections across all loops (accept-path only — the data
   /// path never touches it).
   std::atomic<size_t> total_live_{0};
-  /// Round-robin target for fallback fd handoff (loop 0 only).
-  size_t handoff_rr_ = 0;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};

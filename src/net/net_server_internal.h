@@ -1,8 +1,9 @@
-// NetServer's private per-loop data structures, shared between the
-// epoll backend (net_server.cc, which also owns all transport-agnostic
-// logic: parsing, admission batching, completion delivery, admin
-// streaming) and the io_uring backend (net_server_uring.cc). Not part
-// of the public API — include only from those two translation units.
+// NetServer's private per-loop data structures, shared between
+// net_server.cc (the event-loop skeleton, the accept path, parsing,
+// admission batching, completion delivery, admin streaming and the
+// epoll transport) and the io_uring transport (net_server_uring.cc).
+// Not part of the public API — include only from those two translation
+// units.
 
 #ifndef BOUNCER_NET_NET_SERVER_INTERNAL_H_
 #define BOUNCER_NET_NET_SERVER_INTERNAL_H_
@@ -29,11 +30,23 @@ inline constexpr uint64_t kEventToken = ~uint64_t{0} - 1;
 /// takes another loop iteration.
 inline constexpr int kMaxEpollEvents = 128;
 
+/// How long a loop stops accepting after accept fails for want of fds or
+/// memory. The pending connection stays in the listen backlog and is
+/// accepted by the first retry that finds a free fd.
+inline constexpr Nanos kAcceptBackoff = 10 * kMillisecond;
+
 /// Connection-token field widths: generation << 32 | loop << 24 | slot.
 inline constexpr uint32_t kSlotBits = 24;
 inline constexpr uint32_t kSlotMask = (1u << kSlotBits) - 1;
 inline constexpr uint32_t kLoopMask = 0xff;
 inline constexpr size_t kMaxLoops = 255;
+
+/// Data-path syscall accounting (Stats::syscalls). Templated so it never
+/// names the private LoopCounters type.
+template <typename Counters>
+void CountSyscall(Counters& counters, uint64_t n = 1) {
+  counters.syscalls.fetch_add(n, std::memory_order_relaxed);
+}
 
 inline void WriteEventFd(int fd) {
   const uint64_t one = 1;
@@ -109,24 +122,27 @@ struct NetServer::Pending {
 };
 
 /// One reactor: everything a loop thread touches on the hot path lives
-/// here and is owned by that thread alone (the done-ring and mailbox are
-/// the only cross-thread entry points, both bounded MPMC).
+/// here and is owned by that thread alone (the done-ring is the only
+/// cross-thread entry point, a bounded MPMC).
 struct NetServer::Loop {
-  Loop(NetServer* server_in, size_t id_in, size_t done_ring_capacity,
-       size_t mailbox_capacity)
+  Loop(NetServer* server_in, size_t id_in, size_t done_ring_capacity)
       : server(server_in),
         id(static_cast<uint32_t>(id_in)),
         pending_pool(4096),
-        done_ring(done_ring_capacity),
-        fd_mailbox(mailbox_capacity) {}
+        done_ring(done_ring_capacity) {}
 
   NetServer* server;
   uint32_t id;
 
-  int listen_fd = -1;  ///< Own SO_REUSEPORT listener; -1 in handoff mode
-                       ///< for every loop but 0.
+  int listen_fd = -1;  ///< Own listener (SO_REUSEPORT with > 1 loop).
   int epoll_fd = -1;   ///< epoll backend only.
   int event_fd = -1;
+  /// The listener is being polled: registered for EPOLLIN, or a
+  /// multishot accept is outstanding.
+  bool accept_armed = false;
+  /// Non-zero while accept is backed off (AcceptFailed): the time the
+  /// transport may poll its listener again.
+  Nanos accept_retry_at = 0;
 
   /// io_uring backend only: the loop's ring + provided-buffer ring,
   /// created by UringSetupLoops and destroyed by UringDestroyLoop.
@@ -153,9 +169,6 @@ struct NetServer::Loop {
   /// fences) with the loop's pre-wait ring emptiness check so a push
   /// can never slip between the check and the block unnoticed.
   std::atomic<bool> done_waiting{false};
-  /// Accepted fds mailed over by loop 0 in handoff mode; drained on
-  /// every eventfd wakeup.
-  MpmcQueue<int> fd_mailbox;
 
   std::atomic<std::thread::id> tid{};
   /// True while this loop's thread is inside a Cluster submit call.

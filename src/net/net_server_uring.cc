@@ -1,14 +1,15 @@
-// io_uring backend for NetServer. Everything transport-agnostic
-// (parsing, admission batching, completion delivery, admin streaming)
-// stays in net_server.cc; this file owns the ring lifecycle and the
-// CQE-driven read/write/accept paths. One UringState per loop, used
-// only by that loop's thread.
+// io_uring transport for NetServer. The event-loop skeleton and
+// everything transport-agnostic (accepting, parsing, admission
+// batching, completion delivery, admin streaming) stay in
+// net_server.cc; this file owns the ring lifecycle and the CQE-driven
+// read/write/accept paths. One UringState per loop, used only by that
+// loop's thread.
 //
 // Submission model: SQEs accumulate across a whole loop iteration
 // (accept re-arms, recv arms/cancels, SENDMSG flushes) and are flushed by
-// a single io_uring_enter in SubmitAndWait at the bottom — the wait and
-// the submit are the same syscall, which is where the per-request
-// syscall win over epoll_wait + readv + sendmsg comes from.
+// a single io_uring_enter in UringWaitAndDispatch — the wait and the
+// submit are the same syscall, which is where the per-request syscall
+// win over epoll_wait + readv + sendmsg comes from.
 //
 // user_data encoding: a 4-bit op tag in bits 63..60 and the connection
 // token in the low 60 bits. The token's generation field loses its top
@@ -38,6 +39,15 @@ constexpr uint64_t kTagCancel = 5;
 /// Generation bits that survive the tag carve-out (token bits 32..59).
 constexpr uint32_t kGenMask = (1u << 28) - 1;
 
+/// Submission-queue entries per loop: bounds the SQEs batched into one
+/// io_uring_enter (overflow just flushes early).
+constexpr unsigned kSqEntries = 1024;
+/// Provided recv buffers per loop (a power of two) and the size of each.
+/// Multishot recv completions land in these; the loop copies them into
+/// the connection rx rings and recycles them.
+constexpr uint32_t kRecvBufs = 512;
+constexpr uint32_t kRecvBufBytes = 4096;
+
 uint64_t Pack(uint64_t tag, uint64_t token) {
   return (tag << kTagShift) | (token & kTokenMask);
 }
@@ -45,21 +55,19 @@ uint64_t Pack(uint64_t tag, uint64_t token) {
 }  // namespace
 
 bool NetServer::UringSetupLoops() {
-  const unsigned sq = options_.uring_sq_entries;
   // CQ sized for bursts: every provided buffer can be an undrained recv
   // CQE, plus a send and a cancel per connection in the worst iteration.
-  const unsigned cq = std::max<unsigned>(4096, sq * 4);
+  constexpr unsigned kCqEntries = std::max<unsigned>(4096, kSqEntries * 4);
   for (auto& loop_ptr : loops_) {
     Loop& loop = *loop_ptr;
     auto state = std::make_unique<UringState>();
-    if (Status s = state->ring.Init(sq, cq); !s.ok()) {
+    if (Status s = state->ring.Init(kSqEntries, kCqEntries); !s.ok()) {
       backend_fallback_reason_ = s.message();
       for (auto& lp : loops_) UringDestroyLoop(*lp);
       return false;
     }
-    if (Status s = state->bufs.Init(state->ring, /*bgid=*/0,
-                                    options_.uring_buf_count,
-                                    options_.uring_buf_bytes);
+    if (Status s = state->bufs.Init(state->ring, /*bgid=*/0, kRecvBufs,
+                                    kRecvBufBytes);
         !s.ok()) {
       backend_fallback_reason_ = s.message();
       for (auto& lp : loops_) UringDestroyLoop(*lp);
@@ -158,13 +166,7 @@ void NetServer::UringFlushConn(Loop& loop, Connection* conn) {
   if (conn->fd < 0) return;
   if (conn->send_inflight) return;  // The CQE chains the next flush.
   if (conn->tx.empty()) {
-    if (conn->read_paused_tx) {
-      conn->read_paused_tx = false;
-      ResumeRead(loop, conn);
-    }
-    if (conn->closing && conn->owed == 0 && conn->tx.empty()) {
-      CloseConn(loop, conn);
-    }
+    TxDrained(loop, conn);
     return;
   }
   UringState& st = *loop.uring;
@@ -210,10 +212,14 @@ void NetServer::UringPrepareClose(Loop& loop, Connection* conn) {
 }
 
 void NetServer::UringOnAccept(Loop& loop, int res, uint32_t flags) {
-  UringState& st = *loop.uring;
-  if (!(flags & IORING_CQE_F_MORE)) st.accept_armed = false;
-  if (res < 0) return;  // ECANCELED/EMFILE/...; re-armed at loop bottom.
-  HandleAccepted(loop, res);
+  // A failure ends the multishot accept; UringWaitAndDispatch re-arms it
+  // unless AcceptFailed backed off.
+  if (!(flags & IORING_CQE_F_MORE)) loop.accept_armed = false;
+  if (res < 0) {
+    AcceptFailed(loop, -res);
+    return;
+  }
+  Accepted(loop, res);
 }
 
 void NetServer::UringOnRecv(Loop& loop, uint64_t data, int res,
@@ -252,13 +258,7 @@ void NetServer::UringOnRecv(Loop& loop, uint64_t data, int res,
   if (!live) return;
 
   if (res == 0) {
-    // EOF: answer what is owed, flush, then close.
-    slot->closing = true;
-    if (slot->owed == 0 && slot->tx.empty()) {
-      CloseConn(loop, slot);
-    } else {
-      UringFlushConn(loop, slot);
-    }
+    PeerClosed(loop, slot);
     return;
   }
   if (res < 0) {
@@ -295,17 +295,8 @@ void NetServer::UringOnSend(Loop& loop, uint64_t data, int res) {
     return;
   }
   slot->tx.Consume(static_cast<size_t>(res));
-  if (!slot->tx.empty()) {
-    UringFlushConn(loop, slot);  // Short write: chain the remainder.
-    return;
-  }
-  if (slot->read_paused_tx) {
-    slot->read_paused_tx = false;
-    ResumeRead(loop, slot);
-  }
-  if (slot->closing && slot->owed == 0 && slot->tx.empty()) {
-    CloseConn(loop, slot);
-  }
+  // A short write chains the remainder; a drained ring runs the tail.
+  UringFlushConn(loop, slot);
 }
 
 void NetServer::UringRearmPending(Loop& loop) {
@@ -328,8 +319,30 @@ void NetServer::UringRearmPending(Loop& loop) {
   st.rearm.resize(kept);
 }
 
-void NetServer::UringProcessCqes(Loop& loop) {
+void NetServer::UringWaitAndDispatch(Loop& loop, Nanos timeout) {
   UringState& st = *loop.uring;
+  UringRearmPending(loop);
+  // Keep the persistent multishot submissions alive: either can
+  // terminate on transient errors and just needs a fresh SQE — except an
+  // accept that AcceptFailed backed off.
+  if (!loop.accept_armed && loop.accept_retry_at == 0) {
+    if (io_uring_sqe* sqe = st.ring.GetSqe(); sqe != nullptr) {
+      PrepAcceptMultishot(sqe, loop.listen_fd, Pack(kTagAccept, 0));
+      loop.accept_armed = true;
+    }
+  }
+  if (!st.event_armed) {
+    if (io_uring_sqe* sqe = st.ring.GetSqe(); sqe != nullptr) {
+      PrepPollMultishot(sqe, loop.event_fd, POLLIN, Pack(kTagEvent, 0));
+      st.event_armed = true;
+    }
+  }
+  if (st.ring.CqePending()) timeout = 0;
+  // The submit and the wait are one syscall — every SQE prepared this
+  // iteration ships here.
+  st.ring.SubmitAndWait(/*min_complete=*/1, timeout);
+  CountSyscall(loop.counters, st.ring.TakeEnterCalls());
+  WaitReturned(loop);
   st.ring.DrainCqes([&](const io_uring_cqe& cqe) {
     switch (cqe.user_data >> kTagShift) {
       case kTagAccept:
@@ -346,8 +359,7 @@ void NetServer::UringProcessCqes(Loop& loop) {
         uint64_t drained;
         [[maybe_unused]] ssize_t r =
             ::read(loop.event_fd, &drained, sizeof(drained));
-        loop.counters.syscalls.fetch_add(1, std::memory_order_relaxed);
-        DrainMailbox(loop);
+        CountSyscall(loop.counters);
         break;
       }
       case kTagCancel: {
@@ -374,65 +386,6 @@ void NetServer::UringProcessCqes(Loop& loop) {
   });
 }
 
-void NetServer::UringRun(Loop& loop) {
-  UringState& st = *loop.uring;
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    UringProcessCqes(loop);
-    // One admission episode for everything parsed this wakeup, then
-    // answer whatever completed (same phase structure as EpollRun; see
-    // the comment there for why this repeats until the batch is empty).
-    do {
-      SubmitParsed(loop);
-      DrainCompletions(loop);
-      PumpAdminAll(loop);
-      for (auto& slot : loop.slots) {
-        Connection* conn = slot.get();
-        if (conn != nullptr && conn->fd >= 0 && conn->dirty) {
-          FlushConn(loop, conn);
-        }
-      }
-      MaybeResumePaused(loop);
-    } while (!loop.batch.empty());
-    UringRearmPending(loop);
-
-    // Keep the persistent multishot submissions alive: either can
-    // terminate on transient errors (EMFILE, poll races) and just needs
-    // a fresh SQE.
-    if (loop.listen_fd >= 0 && !st.accept_armed) {
-      if (io_uring_sqe* sqe = st.ring.GetSqe(); sqe != nullptr) {
-        PrepAcceptMultishot(sqe, loop.listen_fd, Pack(kTagAccept, 0));
-        st.accept_armed = true;
-      }
-    }
-    if (!st.event_armed) {
-      if (io_uring_sqe* sqe = st.ring.GetSqe(); sqe != nullptr) {
-        PrepPollMultishot(sqe, loop.event_fd, POLLIN, Pack(kTagEvent, 0));
-        st.event_armed = true;
-      }
-    }
-
-    // Pre-wait handshake with OnQueryDone's worker side (see EpollRun):
-    // declare we are about to block, then re-check the done ring.
-    int64_t timeout_ns =
-        loop.overload_paused ? 1'000'000 : 100'000'000;  // 1ms / 100ms.
-    loop.done_signal.store(false, std::memory_order_relaxed);
-    loop.done_waiting.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!loop.done_ring.EmptyApprox() || st.ring.CqePending()) {
-      timeout_ns = 0;
-    }
-    // The submit and the wait are one syscall — every SQE prepared this
-    // iteration ships here.
-    st.ring.SubmitAndWait(/*min_complete=*/1, timeout_ns);
-    loop.done_waiting.store(false, std::memory_order_relaxed);
-    loop.counters.wakeups.fetch_add(1, std::memory_order_relaxed);
-    loop.counters.syscalls.fetch_add(st.ring.TakeEnterCalls(),
-                                     std::memory_order_relaxed);
-  }
-  loop.counters.syscalls.fetch_add(st.ring.TakeEnterCalls(),
-                                   std::memory_order_relaxed);
-}
-
 }  // namespace bouncer::net
 
 #else  // !BOUNCER_HAS_IOURING
@@ -449,8 +402,7 @@ bool NetServer::UringSetupLoops() {
   return false;
 }
 void NetServer::UringDestroyLoop(Loop&) {}
-void NetServer::UringRun(Loop&) {}
-void NetServer::UringProcessCqes(Loop&) {}
+void NetServer::UringWaitAndDispatch(Loop&, Nanos) {}
 void NetServer::UringOnAccept(Loop&, int, uint32_t) {}
 void NetServer::UringOnRecv(Loop&, uint64_t, int, uint32_t) {}
 void NetServer::UringOnSend(Loop&, uint64_t, int) {}

@@ -214,7 +214,6 @@ struct StagedBuf {
 struct UringState {
   UringRing ring;
   UringBufRing bufs;
-  bool accept_armed = false;
   bool event_armed = false;
   /// Slot indices whose multishot recv died with ENOBUFS; re-armed as
   /// buffers recycle.

@@ -31,7 +31,7 @@ class EpochVisitedSet {
 
   /// Marks `id`; returns true when `id` was not yet in the current set.
   bool Insert(uint32_t id) {
-    if (id >= stamps_.size()) stamps_.resize(id + 1, 0);
+    if (id >= stamps_.size()) stamps_.resize(size_t{id} + 1, 0);
     if (stamps_[id] == epoch_) return false;
     stamps_[id] = epoch_;
     return true;

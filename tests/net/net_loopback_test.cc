@@ -10,13 +10,17 @@
 // regex.
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -160,6 +164,75 @@ int ConnectLoopback(uint16_t port) {
     return -1;
   }
   return fd;
+}
+
+/// Bounds every blocking recv on `fd`, so a wedged server fails the test
+/// instead of hanging it.
+void SetRecvTimeout(int fd, int seconds) {
+  const timeval tv{seconds, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+/// Outcome of reading from a blocking socket with a receive timeout.
+enum class ReadResult { kOk, kClosed, kTimeout };
+
+/// Reads exactly `len` bytes. kClosed on EOF or reset, kTimeout when
+/// the server went quiet (or any other error).
+ReadResult ReadExact(int fd, uint8_t* out, size_t len) {
+  size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::recv(fd, out + got, len - got, 0);
+    if (n > 0) {
+      got += static_cast<size_t>(n);
+    } else if (n == 0 || errno == ECONNRESET) {
+      return ReadResult::kClosed;
+    } else if (errno != EINTR) {
+      return ReadResult::kTimeout;
+    }
+  }
+  return ReadResult::kOk;
+}
+
+/// Reads one response frame — a graph response or an admin chunk — and
+/// decodes its fixed header into `out` (`more` = an admin chunk follows).
+ReadResult ReadResponse(int fd, ResponseFrame* out, bool* more) {
+  uint8_t prefix[kLengthPrefixBytes];
+  if (ReadResult r = ReadExact(fd, prefix, sizeof(prefix));
+      r != ReadResult::kOk) {
+    return r;
+  }
+  const uint32_t len = wire::GetU32(prefix);
+  EXPECT_GE(len, kResponseBodyBytes);
+  EXPECT_LE(len, kResponseBodyBytes + kAdminMaxChunk);
+  if (len < kResponseBodyBytes || len > kResponseBodyBytes + kAdminMaxChunk) {
+    return ReadResult::kTimeout;  // Framing lost; fail the caller.
+  }
+  std::vector<uint8_t> body(len);
+  if (ReadResult r = ReadExact(fd, body.data(), len); r != ReadResult::kOk) {
+    return r;
+  }
+  DecodeResponseBody(body.data(), out);
+  // Every admin chunk but the last carries payload and kAdminFlagMore; a
+  // graph response's flags byte is a reject reason, never "more".
+  *more = len > kResponseBodyBytes && (out->flags & kAdminFlagMore) != 0;
+  return ReadResult::kOk;
+}
+
+/// Sends one valid degree query on blocking `fd` and reads its answer.
+void ExpectServed(int fd, uint64_t id) {
+  RequestFrame request;
+  request.id = id;
+  request.op = static_cast<uint8_t>(GraphOp::kDegree);
+  request.source = 17;
+  uint8_t out[kRequestFrameBytes];
+  const size_t out_bytes = EncodeRequest(request, out);
+  ASSERT_EQ(::send(fd, out, out_bytes, MSG_NOSIGNAL),
+            static_cast<ssize_t>(out_bytes));
+  ResponseFrame response;
+  bool more = false;
+  ASSERT_EQ(ReadResponse(fd, &response, &more), ReadResult::kOk);
+  EXPECT_EQ(response.id, id);
+  EXPECT_EQ(response.status, ResponseStatus::kOk);
 }
 
 class NetLoopbackTest : public ::testing::TestWithParam<NetBackend> {};
@@ -451,6 +524,342 @@ TEST_P(NetLoopbackTest, PeerResetWithResponsesOwedKeepsServerUp) {
   EXPECT_EQ(stats.responses, stats.requests);
   // ...and the server answers a second client in full.
   RunDegreeCheck(harness);
+}
+
+TEST_P(NetLoopbackTest, FdExhaustionDoesNotSpinTheLoop) {
+  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+  // With the process fd table full every accept fails, while the pending
+  // connection keeps the listener readable. The loop must back off
+  // instead of polling the listener again at once, and must accept and
+  // answer the connection once fds free up. RLIMIT_NOFILE is
+  // process-wide, which is safe here: each test case runs in its own
+  // process. It is lowered before the server starts so that it binds the
+  // io_uring accept too, which reads the limit when its SQE is prepared.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(lowest_free) + 128;
+  ASSERT_LE(tight.rlim_cur, saved.rlim_max);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+
+  LoopbackHarness harness(GetParam());
+  // One query served first also warms UBSan's type-check cache for the
+  // server's clock reads: its slow path needs a pipe, i.e. free fds.
+  const int warm = ConnectLoopback(harness.server->port());
+  ASSERT_GE(warm, 0);
+  SetRecvTimeout(warm, 10);
+  ExpectServed(warm, 0x3a3a);
+  ::close(warm);
+  // The server must close its end before the table fills, or the fd it
+  // frees would take the connection below.
+  const auto closed_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (harness.server->AggregateStats().connections_closed == 0 &&
+         std::chrono::steady_clock::now() < closed_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(harness.server->AggregateStats().connections_closed, 1u);
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  SetRecvTimeout(client, 10);
+  std::vector<int> fillers;
+  for (int fd; (fd = ::dup(client)) >= 0;) fillers.push_back(fd);
+  ASSERT_EQ(errno, EMFILE);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(harness.server->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(
+      ::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const uint64_t wakeups_before = harness.server->AggregateStats().wakeups;
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const NetServer::Stats full = harness.server->AggregateStats();
+
+  for (const int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(full.connections_accepted, 1u)
+      << "accepted although the fd table was full";
+  EXPECT_LE(full.wakeups - wakeups_before, 100u)
+      << "failing accepts spin the event loop";
+  ExpectServed(client, 0xacce97);
+  EXPECT_EQ(harness.server->AggregateStats().connections_accepted, 2u);
+  ::close(client);
+}
+
+/// Which answer a hostile frame must get.
+enum class Answer { kGraph, kBadRequest, kAdmin };
+
+/// The answers a byte stream must get, worked out by applying the
+/// server's framing rules to the bytes the test sends.
+struct StreamOracle {
+  std::map<std::pair<uint64_t, Answer>, int> expected;  ///< (id, kind).
+  size_t answers = 0;
+  size_t bad_bodies = 0;  ///< Well-framed but invalid: kBadRequest.
+  size_t admin = 0;
+  bool bad_prefix = false;  ///< The server closes the connection here.
+};
+
+StreamOracle FrameStream(const std::vector<uint8_t>& bytes) {
+  StreamOracle oracle;
+  size_t pos = 0;
+  while (pos + kLengthPrefixBytes <= bytes.size()) {
+    const uint32_t len = wire::GetU32(bytes.data() + pos);
+    if (len != kRequestBodyBytesV1 && len != kRequestBodyBytes) {
+      oracle.bad_prefix = true;
+      break;
+    }
+    if (pos + kLengthPrefixBytes + len > bytes.size()) break;  // Partial.
+    RequestFrame frame;
+    const bool valid =
+        DecodeRequestBody(bytes.data() + pos + kLengthPrefixBytes, len, &frame);
+    Answer answer = Answer::kGraph;
+    if (!valid) {
+      answer = Answer::kBadRequest;
+      ++oracle.bad_bodies;
+    } else if (IsAdminOp(frame.op)) {
+      answer = Answer::kAdmin;
+      ++oracle.admin;
+    }
+    ++oracle.expected[{frame.id, answer}];
+    ++oracle.answers;
+    pos += kLengthPrefixBytes + len;
+  }
+  return oracle;
+}
+
+/// 1..8 valid v1/v2 graph frames, plus admin frames and per-frame
+/// mutations (flipped body bytes, unknown ops, unknown flag bits) when
+/// `mutate` is set. `last_frame` receives the size of the final frame.
+std::vector<uint8_t> HostileFrames(Rng& rng, bool mutate,
+                                   size_t* last_frame) {
+  std::vector<uint8_t> bytes;
+  const uint64_t frames = 1 + rng.NextBounded(8);
+  for (uint64_t f = 0; f < frames; ++f) {
+    RequestFrame frame;
+    frame.id = rng.NextU64();
+    frame.op = static_cast<uint8_t>(rng.NextBounded(graph::kNumGraphOps));
+    if (mutate && rng.NextBounded(8) == 0) {
+      frame.op = rng.NextBounded(2) == 0 ? kOpStatsJson : kOpStatsPrometheus;
+    }
+    frame.source = static_cast<uint32_t>(rng.NextBounded(2000));
+    frame.target = static_cast<uint32_t>(rng.NextBounded(2000));
+    frame.deadline_ns = rng.NextBounded(2) == 0 ? 0 : kSecond;
+    frame.tenant = rng.NextBounded(2) == 0 ? 0 : 1 + rng.NextBounded(4);
+    uint8_t out[kRequestFrameBytes];
+    const size_t n = EncodeRequest(frame, out);
+    uint8_t* body = out + kLengthPrefixBytes;
+    const size_t body_len = n - kLengthPrefixBytes;
+    switch (mutate ? rng.NextBounded(5) : 4) {
+      case 0:  // Flipped body bytes (the length prefix stays intact).
+        for (uint64_t k = 0, flips = 1 + rng.NextBounded(3); k < flips; ++k) {
+          body[rng.NextBounded(body_len)] ^=
+              static_cast<uint8_t>(1 + rng.NextBounded(255));
+        }
+        break;
+      case 1: {  // An op that is neither a graph nor an admin op.
+        const uint64_t unknown_ops = 256 - 3 - graph::kNumGraphOps;
+        uint64_t op = graph::kNumGraphOps + rng.NextBounded(unknown_ops);
+        if (op >= kOpStatsJson) op += 3;  // Skip the three admin ops.
+        body[8] = static_cast<uint8_t>(op);
+        break;
+      }
+      case 2:  // An unknown flag bit.
+        wire::PutU16(body + 10,
+                     static_cast<uint16_t>(wire::GetU16(body + 10) |
+                                           (2u << rng.NextBounded(15))));
+        break;
+      default:
+        break;
+    }
+    bytes.insert(bytes.end(), out, out + n);
+    *last_frame = n;
+  }
+  return bytes;
+}
+
+/// Valid frames carrying the extreme field values a flipped byte can
+/// produce: the largest vertex id as a BFS source and the largest
+/// relative deadlines.
+std::vector<uint8_t> ExtremeFrames() {
+  std::vector<uint8_t> bytes;
+  const auto add = [&bytes](GraphOp op, uint32_t source, uint64_t deadline) {
+    RequestFrame frame;
+    frame.id = bytes.size() + 1;
+    frame.op = static_cast<uint8_t>(op);
+    frame.source = source;
+    frame.target = 7;
+    frame.deadline_ns = deadline;
+    uint8_t out[kRequestFrameBytes];
+    bytes.insert(bytes.end(), out, out + EncodeRequest(frame, out));
+  };
+  add(GraphOp::kDistance3, 0xffffffffu, 0);
+  add(GraphOp::kDistance4, 0xffffffffu, 0);
+  add(GraphOp::kDegree, 1, ~uint64_t{0});
+  add(GraphOp::kDegree, 1, uint64_t{1} << 63);
+  return bytes;
+}
+
+/// Writes `bytes` in pieces cut at random offsets, sometimes pausing so
+/// the server reads a partial frame. False when the server hung up.
+bool SendSplit(int fd, const std::vector<uint8_t>& bytes, Rng& rng) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const size_t piece = 1 + rng.NextBounded(bytes.size() - sent);
+    const ssize_t n = ::send(fd, bytes.data() + sent, piece, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<size_t>(n);
+    if (rng.NextBounded(4) == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  return true;
+}
+
+TEST_P(NetLoopbackTest, HostileFramesNeverWedgeTheServer) {
+  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+  // Seeded mutation fuzzing with a fixed budget: v1, v2 and admin
+  // frames with flipped bytes, zero and oversized length prefixes,
+  // unknown ops and flags, frames truncated then closed or reset, all
+  // written in pieces cut at random offsets — while a well-behaved
+  // client keeps running against the same server.
+  LoopbackHarness harness(GetParam());
+  NetClient good(
+      ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/4),
+      [](size_t conn_index, uint64_t seq) {
+        RequestFrame frame;
+        frame.op = static_cast<uint8_t>(GraphOp::kDegree);
+        frame.source = static_cast<uint32_t>((conn_index + seq) % 2000);
+        return frame;
+      });
+  ASSERT_TRUE(good.Start().ok());
+  good.StartClosedLoop();
+
+  constexpr int kStreams = 240;
+  constexpr uint32_t kBadLengths[] = {0,
+                                      1,
+                                      kRequestBodyBytesV1 - 1,
+                                      kRequestBodyBytes + 1,
+                                      1u << 20,
+                                      0xffffffffu};
+  Rng rng(0x5eedbad0f00dULL);
+  size_t bad_bodies = 0;
+  size_t admin = 0;
+  size_t bad_prefixes = 0;
+  for (int i = 0; i < kStreams; ++i) {
+    SCOPED_TRACE(i);
+    // 0/1: mutated frames (the extreme ones first), every answer read
+    // back; 2: valid frames cut mid-frame, then closed; 3: the same,
+    // then reset.
+    const uint64_t mode = i == 0 ? 0 : rng.NextBounded(4);
+    const bool read_back = mode < 2;
+    size_t last = 0;
+    std::vector<uint8_t> bytes =
+        i == 0 ? ExtremeFrames() : HostileFrames(rng, read_back, &last);
+    if (!read_back) {
+      // Keep 1..last-1 bytes of the final frame.
+      bytes.resize(bytes.size() - last + 1 + rng.NextBounded(last - 1));
+    } else if (i > 0 && rng.NextBounded(4) == 0 &&
+               FrameStream(bytes).admin == 0) {
+      // A bad length prefix plus trailing garbage. Not after an admin
+      // frame: closing may cut its streamed answer short.
+      uint8_t prefix[kLengthPrefixBytes];
+      wire::PutU32(prefix, kBadLengths[rng.NextBounded(6)]);
+      bytes.insert(bytes.end(), prefix, prefix + sizeof(prefix));
+      for (uint64_t k = rng.NextBounded(64); k > 0; --k) {
+        bytes.push_back(static_cast<uint8_t>(rng.NextU64()));
+      }
+    }
+    const StreamOracle oracle = FrameStream(bytes);
+
+    const int fd = ConnectLoopback(harness.server->port());
+    ASSERT_GE(fd, 0);
+    SetRecvTimeout(fd, 10);
+    const bool sent = SendSplit(fd, bytes, rng);
+    if (!read_back) {
+      ASSERT_TRUE(sent);
+      if (mode == 3) {
+        const linger abortive{1, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abortive, sizeof(abortive));
+      }
+      ::close(fd);
+      continue;
+    }
+    bad_bodies += oracle.bad_bodies;
+    admin += oracle.admin;
+    ResponseFrame response;
+    bool more = false;
+    if (oracle.bad_prefix) {
+      // Framing is lost: the server closes this connection. Answers to
+      // the frames before the bad prefix may or may not make it out.
+      ++bad_prefixes;
+      ReadResult result;
+      while ((result = ReadResponse(fd, &response, &more)) == ReadResult::kOk) {
+      }
+      EXPECT_EQ(result, ReadResult::kClosed)
+          << "a bad length prefix left its connection open";
+      ::close(fd);
+      continue;
+    }
+    ASSERT_TRUE(sent);
+    // Every well-framed request is answered exactly once: invalid bodies
+    // with kBadRequest, admin ops with a (chunked) admin response.
+    std::map<std::pair<uint64_t, Answer>, int> expected = oracle.expected;
+    for (size_t answered = 0; answered < oracle.answers;) {
+      ASSERT_EQ(ReadResponse(fd, &response, &more), ReadResult::kOk)
+          << (oracle.answers - answered) << " answers missing";
+      if (more) continue;
+      Answer answer = Answer::kGraph;
+      if (response.status == ResponseStatus::kBadRequest) {
+        answer = Answer::kBadRequest;
+      } else if (expected[{response.id, Answer::kAdmin}] > 0) {
+        answer = Answer::kAdmin;
+      }
+      int& owed = expected[{response.id, answer}];
+      ASSERT_GT(owed, 0) << "unexpected answer to id " << response.id
+                         << " (status " << static_cast<int>(response.status)
+                         << ")";
+      --owed;
+      ++answered;
+    }
+    // ...and the connection carries on after its invalid frames.
+    ExpectServed(fd, 0x600d0000u + static_cast<uint64_t>(i));
+    ::close(fd);
+  }
+  EXPECT_GT(bad_bodies, 0u);
+  EXPECT_GT(admin, 0u);
+  EXPECT_GT(bad_prefixes, 0u);
+
+  // The concurrent well-behaved client was answered in full.
+  good.StopSending();
+  ASSERT_TRUE(good.WaitForDrain(10 * kSecond));
+  good.Stop();
+  const auto counters = good.counters();
+  EXPECT_EQ(counters.conn_errors, 0u);
+  EXPECT_GT(counters.queued, 0u);
+  EXPECT_EQ(counters.responses, counters.queued);
+  EXPECT_EQ(counters.ok, counters.responses);
+
+  // Accounting. Every parsed graph request completes and counts a
+  // response, also when its connection died first (the answer is then
+  // dropped); kBadRequest and admin answers are the only responses
+  // without a request behind them. Bad frames are the invalid bodies
+  // plus the bad length prefixes.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  NetServer::Stats stats = harness.server->AggregateStats();
+  while (stats.responses < stats.requests + bad_bodies + admin &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stats = harness.server->AggregateStats();
+  }
+  EXPECT_EQ(stats.responses, stats.requests + bad_bodies + admin);
+  EXPECT_EQ(stats.bad_frames, bad_bodies + bad_prefixes);
+  EXPECT_EQ(stats.admin_requests, admin);
+  harness.server->Stop();  // Returns with every hostile connection gone.
 }
 
 TEST_P(NetLoopbackTest, OpenLoopLatencyCountsFromScheduledDeparture) {

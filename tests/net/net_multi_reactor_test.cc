@@ -2,8 +2,7 @@
 // fronting one Cluster, driven over 127.0.0.1. Covers loop counts
 // {1, 2, 4} end-to-end (answers checked against the graph, rejections
 // delivered, per-loop stats summing to the aggregate, non-degenerate
-// connection distribution), the accept-and-hand-off fallback that
-// replaces SO_REUSEPORT, clean Stop with work still in flight, and a
+// connection distribution), clean Stop with work still in flight, and a
 // concurrent multi-client stress the TSan job runs (the
 // "NetMultiReactor" suite name keeps it inside the CI regex). The whole
 // suite runs once per event-loop backend; io_uring cases skip with the
@@ -56,7 +55,7 @@ Cluster::Options SmallCluster(bool rejecting) {
 
 struct ReactorHarness {
   explicit ReactorHarness(NetBackend backend, size_t num_loops,
-                          bool force_handoff = false, bool rejecting = false)
+                          bool rejecting = false)
       : graph(MakeGraph()),
         registry(Cluster::MakeRegistry(Slo{kSecond, 2 * kSecond, 0})),
         cluster(&graph, &registry, SystemClock::Global(),
@@ -65,7 +64,6 @@ struct ReactorHarness {
     NetServer::Options server_options;
     server_options.backend = backend;
     server_options.num_loops = num_loops;
-    server_options.force_fd_handoff = force_handoff;
     server = std::make_unique<NetServer>(&cluster, server_options);
     EXPECT_TRUE(server->Start().ok());
     EXPECT_EQ(server->backend(), backend);
@@ -145,7 +143,7 @@ TEST_P(NetMultiReactorTest, AnswersEveryQueryAtEachLoopCount) {
     // Per-loop counters must sum exactly to the aggregate, and with
     // multiple loops the connection distribution must be non-degenerate
     // (SO_REUSEPORT hashes 16 connections across the listeners; all on
-    // one loop is a ~4^-15 event — and round-robin in fallback mode).
+    // one loop is a ~4^-15 event).
     const NetServer::Stats total = harness.server->AggregateStats();
     EXPECT_EQ(total.requests, total.responses);
     EXPECT_EQ(total.bad_frames, 0u);
@@ -167,36 +165,12 @@ TEST_P(NetMultiReactorTest, AnswersEveryQueryAtEachLoopCount) {
   }
 }
 
-TEST_P(NetMultiReactorTest, FdHandoffFallbackDistributesRoundRobin) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
-  // Forced fallback: loop 0 owns the only listener and mails accepted
-  // fds round-robin, so 8 connections over 4 loops land exactly 2 per
-  // loop, and the answers flow back through the owning loops.
-  ReactorHarness harness(GetParam(), /*num_loops=*/4,
-                         /*force_handoff=*/true);
-  ASSERT_TRUE(harness.server->handoff_mode());
-  const auto counters = DriveDegreeLoad(harness, /*conns=*/8,
-                                        /*in_flight=*/4, /*min=*/800);
-  EXPECT_EQ(counters.conn_errors, 0u);
-  EXPECT_EQ(counters.responses, counters.queued);
-  EXPECT_EQ(counters.ok, counters.responses);
-
-  for (size_t i = 0; i < harness.server->num_loops(); ++i) {
-    EXPECT_EQ(harness.server->LoopStats(i).connections_accepted, 2u)
-        << "round-robin handoff skewed on loop " << i;
-  }
-  // 6 of the 8 accepts were mailed to loops 1..3 (loop 0 keeps its own).
-  EXPECT_EQ(harness.server->AggregateStats().handoffs, 6u);
-}
-
 TEST_P(NetMultiReactorTest, RejectionsDeliveredAcrossLoops) {
   BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
   // One-deep broker queue: most queries come back kRejected,
   // synchronously from whichever loop submitted them; counts must
   // reconcile across client, aggregate, and per-loop views.
-  ReactorHarness harness(GetParam(), /*num_loops=*/2,
-                         /*force_handoff=*/false,
-                         /*rejecting=*/true);
+  ReactorHarness harness(GetParam(), /*num_loops=*/2, /*rejecting=*/true);
   const uint32_t num_vertices = harness.graph.num_vertices();
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/8, /*in_flight=*/8),
