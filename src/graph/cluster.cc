@@ -74,6 +74,8 @@ struct WorkerScratch {
   uint64_t trace_id = 0;
   bool traced = false;
   TenantId tenant = kDefaultTenant;
+  /// Reason of the query's first failed round; nonzero (every kShard*
+  /// code is) marks the query failed, so later rounds skip the scatter.
   uint8_t fail_reason = 0;
   // Round-level state.
   std::vector<ShardTask> tasks;  ///< One slot per shard.
@@ -93,11 +95,6 @@ struct WorkerScratch {
 };
 
 thread_local WorkerScratch tls_scratch;
-
-/// Brief spin before parking on the scatter gate: under load the shard
-/// completion lands within microseconds, while a park costs a futex
-/// round-trip on both sides.
-constexpr int kGatherSpins = 128;
 
 }  // namespace
 
@@ -279,6 +276,9 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
                             std::vector<uint32_t>* degrees_out,
                             std::vector<uint32_t>* neighbors_out) {
   WorkerScratch& scratch = tls_scratch;
+  // Fail fast: a query whose earlier round failed answers !ok whatever
+  // the later rounds return, so they scatter nothing.
+  if (scratch.fail_reason != 0) return false;
   const size_t num_shards = shards_.size();
   if (scratch.tasks.size() < num_shards) scratch.tasks.resize(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
@@ -311,6 +311,13 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
   for (size_t s = 0; s < num_shards; ++s) {
     ShardTask& task = scratch.tasks[s];
     if (task.subquery.vertices.empty()) continue;
+    if (countdown.failed.load(std::memory_order_relaxed)) {
+      // A sibling already failed, usually refused synchronously inside
+      // its Submit: the round is lost, so spend no shard work on it.
+      // Only this thread can still be waiting on the countdown.
+      countdown.pending.fetch_sub(1, std::memory_order_acq_rel);
+      continue;
+    }
     task.subquery.kind = kind;
     task.subquery.limit_per_vertex = limit_per_vertex;
     task.countdown = &countdown;
@@ -370,31 +377,24 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
   // Gather: lend this broker worker's CPU to the shard queues while the
   // round is in flight (work-helping) — the round's own subqueries sit
   // in those queues, so on a saturated host the gather usually completes
-  // without a single thread hand-off. Only when every shard queue is dry
-  // does the worker spin briefly and then park on the cluster's
-  // eventcount; the 10 ms ParkingLot backstop re-checks the countdown,
-  // so a missed wake-up costs bounded latency, never a hang.
-  int spins = 0;
+  // without a single thread hand-off. Once every shard queue is dry the
+  // worker parks on the cluster's eventcount straight away; the 10 ms
+  // ParkingLot backstop re-checks the countdown, so a missed wake-up
+  // costs bounded latency, never a hang.
   while (countdown.pending.load(std::memory_order_acquire) != 0) {
     bool helped = false;
     for (size_t s = 0; s < num_shards; ++s) {
       if (countdown.pending.load(std::memory_order_acquire) == 0) break;
       if (shards_[s]->TryRunOne()) helped = true;
     }
-    if (helped) {
-      spins = 0;
-      continue;
-    }
-    if (++spins < kGatherSpins) {
-      CpuRelax();
-      continue;
-    }
+    if (helped) continue;
     scatter_gate_.ParkUnless([&countdown] {
       return countdown.pending.load(std::memory_order_acquire) == 0;
     });
   }
 
-  if (degrees_out != nullptr) {
+  const bool ok = !countdown.failed.load(std::memory_order_relaxed);
+  if (ok && degrees_out != nullptr) {
     size_t total = 0;
     for (size_t s = 0; s < num_shards; ++s) {
       total += scratch.tasks[s].result.degrees.size();
@@ -405,7 +405,7 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
       degrees_out->insert(degrees_out->end(), d.begin(), d.end());
     }
   }
-  if (neighbors_out != nullptr) {
+  if (ok && neighbors_out != nullptr) {
     size_t total = 0;
     for (size_t s = 0; s < num_shards; ++s) {
       total += scratch.tasks[s].result.neighbors.size();
@@ -416,8 +416,7 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
       neighbors_out->insert(neighbors_out->end(), n.begin(), n.end());
     }
   }
-  const bool ok = !countdown.failed.load(std::memory_order_relaxed);
-  if (!ok && scratch.fail_reason == 0) {
+  if (!ok) {
     scratch.fail_reason = countdown.fail_reason.load(std::memory_order_relaxed);
   }
   if constexpr (stats::kTraceCompiledIn) {
@@ -643,7 +642,11 @@ void Cluster::ExecuteQuery(WorkItem& item) {
       break;
     }
   }
-  if (!r.ok) r.fail_reason = scratch.fail_reason;
+  if (!r.ok) {
+    // A failed query's partial value is discarded, never sent.
+    r.value = 0;
+    r.fail_reason = scratch.fail_reason;
+  }
 }
 
 }  // namespace bouncer::graph

@@ -271,11 +271,7 @@ Stage::BatchResult Stage::SubmitBatch(std::span<WorkItem> items,
   queue.counters.accepted.fetch_add(result.admitted,
                                     std::memory_order_relaxed);
   queue.counters.shedded.fetch_add(result.shedded, std::memory_order_relaxed);
-  if (pushed == 1) {
-    idle_workers_.NotifyOne();
-  } else if (pushed > 1) {
-    idle_workers_.NotifyAll();
-  }
+  idle_workers_.NotifyN(pushed);
   return result;
 }
 
@@ -340,20 +336,17 @@ Outcome Stage::SubmitImpl(WorkItem item, bool allow_inline) {
 }
 
 void Stage::WorkerLoop(size_t worker_index) {
-  // Spin briefly before parking: under load the next item lands within
-  // nanoseconds, while a park/notify cycle costs a futex round-trip on
-  // both the worker and the submitter. The bound keeps an idle stage
-  // cheap (a few microseconds of pause loops, then sleep).
-  constexpr int kIdleSpins = 1024;
+  // Park as soon as every ring reads dry. Workers usually outnumber the
+  // CPUs left over by the submitting threads, so an idle spin would burn
+  // the cycles that feed them; the park/notify handshake (sleeper
+  // registration before the ring re-check) loses no wake-up.
   const size_t home = worker_index % queues_.size();
   QueueCounters& counters = queues_[home]->counters;
   WorkItem item;
-  int idle_spins = 0;
   for (;;) {
     if (PopAny(home, item)) {
       ProcessItem(item, counters);
       item = WorkItem();
-      idle_spins = 0;
       continue;
     }
     if (stopping_.load(std::memory_order_acquire)) {
@@ -364,11 +357,6 @@ void Stage::WorkerLoop(size_t worker_index) {
       item = WorkItem();
       continue;
     }
-    if (++idle_spins < kIdleSpins) {
-      CpuRelax();
-      continue;
-    }
-    idle_spins = 0;
     idle_workers_.ParkUnless([this] {
       return stopping_.load(std::memory_order_relaxed) || AnyQueueNonEmpty();
     });

@@ -190,11 +190,12 @@ class Stage {
   /// pass — the per-wakeup submit path of the network front-end. Versus
   /// calling Submit() in a loop it takes one clock read, one enqueue-
   /// cursor reservation (a single CAS claims a contiguous ring block) and
-  /// one worker-wakeup episode for the whole batch instead of one of each
-  /// per item. The admission policy still decides every item individually
-  /// and sees the exact same hook sequence (Decide, then OnRejected or
-  /// OnEnqueued, with OnShedded when the bounded ring drops an accepted
-  /// item), so per-type accounting is identical to the per-item path.
+  /// one worker-wakeup episode for the whole batch (waking at most one
+  /// parked worker per admitted item) instead of one of each per item.
+  /// The admission policy still decides every item individually and sees
+  /// the exact same hook sequence (Decide, then OnRejected or OnEnqueued,
+  /// with OnShedded when the bounded ring drops an accepted item), so
+  /// per-type accounting is identical to the per-item path.
   ///
   /// `submitter` picks the run queue the whole batch lands in: a stable
   /// caller id (the network layer passes its event-loop id so each loop

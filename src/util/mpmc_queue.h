@@ -1,6 +1,7 @@
 #ifndef BOUNCER_UTIL_MPMC_QUEUE_H_
 #define BOUNCER_UTIL_MPMC_QUEUE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -220,14 +221,23 @@ class ParkingLot {
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  /// Wakes one parked thread, if any. Safe to call from any thread; cheap
-  /// when nobody is parked.
-  void NotifyOne() {
+  /// Wakes at most `n` parked threads: one per item a producer just
+  /// published, so a small batch does not wake every sleeper. Safe to
+  /// call from any thread; cheap when nobody is parked.
+  void NotifyN(size_t n) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (sleepers_.load(std::memory_order_relaxed) == 0) return;
+    if (n == 0 || sleepers_.load(std::memory_order_relaxed) == 0) return;
     std::lock_guard<std::mutex> lock(mu_);
-    cv_.notify_one();
+    // `sleepers_` never undercounts the threads inside wait_for (a parker
+    // registers under the mutex before it waits), so capping at it only
+    // drops notifies that would find nobody to wake.
+    const auto sleepers =
+        static_cast<size_t>(sleepers_.load(std::memory_order_relaxed));
+    for (size_t i = std::min(n, sleepers); i > 0; --i) cv_.notify_one();
   }
+
+  /// Wakes one parked thread, if any.
+  void NotifyOne() { NotifyN(1); }
 
   /// Wakes every parked thread.
   void NotifyAll() {

@@ -1,6 +1,7 @@
 // Stress and regression tests for the pooled/async scatter-gather path:
 // countdown correctness under synchronous shard rejections, end-to-end
-// shed propagation, and query values against recorded golden folds and
+// shed propagation, fail-fast on a failed query, wake-ups through the
+// parked hand-offs, and query values against recorded golden folds and
 // the single-run-queue core. The suite name (ClusterScatter*) is
 // matched by the TSan CI job's ctest regex.
 
@@ -58,6 +59,25 @@ class ClusterScatterStressTest : public ::testing::Test {
     cv.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
       return out.done == static_cast<int>(queries.size());
     });
+    return out;
+  }
+
+  /// Submits one query and blocks until its completion callback ran.
+  static GraphQueryResult Ask(Cluster& cluster, const GraphQuery& q) {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    GraphQueryResult out;
+    cluster.Submit(q, /*deadline=*/0,
+                   [&](const server::WorkItem&, Outcome,
+                       const GraphQueryResult& result) {
+                     std::lock_guard<std::mutex> lock(mu);
+                     out = result;
+                     done = true;
+                     cv.notify_all();
+                   });
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done; });
     return out;
   }
 
@@ -213,31 +233,13 @@ TEST_F(ClusterScatterStressTest, FastMatchesLegacyValues) {
   Cluster cluster(graph_, &registry, SystemClock::Global(), options);
   ASSERT_TRUE(cluster.Start().ok());
 
-  const auto ask = [&cluster](const GraphQuery& q) {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    GraphQueryResult out;
-    cluster.Submit(q, /*deadline=*/0,
-                   [&](const server::WorkItem&, Outcome,
-                       const GraphQueryResult& result) {
-                     std::lock_guard<std::mutex> lock(mu);
-                     out = result;
-                     done = true;
-                     cv.notify_all();
-                   });
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-    return out;
-  };
-
   Rng rng(41);
   for (size_t op = 0; op < kNumGraphOps; ++op) {
     uint64_t fold = 0xcbf29ce484222325ull;  // FNV-1a offset basis.
     for (int i = 0; i < 25; ++i) {
       const GraphQuery q =
           Cluster::SampleQuery(static_cast<GraphOp>(op), *graph_, rng);
-      const GraphQueryResult result = ask(q);
+      const GraphQueryResult result = Ask(cluster, q);
       ASSERT_TRUE(result.ok);
       fold ^= result.value;
       fold *= 0x100000001b3ull;  // FNV-1a prime.
@@ -267,31 +269,13 @@ TEST_F(ClusterScatterStressTest, ShardedMatchesSingleQueueValues) {
   ASSERT_TRUE(sharded.Start().ok());
   ASSERT_TRUE(single.Start().ok());
 
-  const auto ask = [](Cluster& cluster, const GraphQuery& q) {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    GraphQueryResult out;
-    cluster.Submit(q, /*deadline=*/0,
-                   [&](const server::WorkItem&, Outcome,
-                       const GraphQueryResult& result) {
-                     std::lock_guard<std::mutex> lock(mu);
-                     out = result;
-                     done = true;
-                     cv.notify_all();
-                   });
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-    return out;
-  };
-
   Rng rng(61);
   for (size_t op = 0; op < kNumGraphOps; ++op) {
     for (int i = 0; i < 10; ++i) {
       const GraphQuery q =
           Cluster::SampleQuery(static_cast<GraphOp>(op), *graph_, rng);
-      const GraphQueryResult a = ask(sharded, q);
-      const GraphQueryResult b = ask(single, q);
+      const GraphQueryResult a = Ask(sharded, q);
+      const GraphQueryResult b = Ask(single, q);
       ASSERT_TRUE(a.ok);
       ASSERT_TRUE(b.ok);
       EXPECT_EQ(a.value, b.value)
@@ -360,6 +344,123 @@ TEST_F(ClusterScatterStressTest, ShardedBrokerStealFlood) {
   EXPECT_EQ(done, kTotal);
   EXPECT_EQ(failed, 0);
   EXPECT_EQ(cluster.shard_failures(), 0u);
+}
+
+/// Two shards, one broker worker, light subqueries: the setting of the
+/// fail-fast and wake-up tests below.
+Cluster::Options TwoShardOptions() {
+  Cluster::Options options;
+  options.num_brokers = 1;
+  options.broker_workers = 1;
+  options.num_shards = 2;
+  options.shard_workers = 1;
+  options.work_per_edge = 4;
+  options.broker_policy.kind = PolicyKind::kAlwaysAccept;
+  options.shard_policy.kind = PolicyKind::kAlwaysAccept;
+  return options;
+}
+
+uint64_t ShardReceived(Cluster& cluster, size_t shard) {
+  return cluster.shard(shard)->counters().received;
+}
+
+/// Fail fast across rounds: with both shards stopped, every subquery is
+/// refused inside its Submit (a stopped stage sheds). QT4 is two
+/// single-vertex Expand rounds; once the first fails the query's answer
+/// is lost, so the second must not reach a shard at all.
+TEST_F(ClusterScatterStressTest, FailFastSkipsRoundsAfterAFailedRound) {
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  Cluster cluster(graph_, &registry, SystemClock::Global(),
+                  TwoShardOptions());
+  ASSERT_TRUE(cluster.Start().ok());
+  cluster.shard(0)->Stop(/*drain=*/false);
+  cluster.shard(1)->Stop(/*drain=*/false);
+  constexpr int kQueries = 20;
+  Rng rng(71);
+  for (int i = 0; i < kQueries; ++i) {
+    const GraphQuery q =
+        Cluster::SampleQuery(GraphOp::kCommonNeighbors, *graph_, rng);
+    const GraphQueryResult result = Ask(cluster, q);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.value, 0u);
+    EXPECT_EQ(result.fail_reason,
+              static_cast<uint8_t>(RejectReason::kShardQueueFull));
+  }
+  EXPECT_EQ(ShardReceived(cluster, 0) + ShardReceived(cluster, 1),
+            static_cast<uint64_t>(kQueries));
+  cluster.Stop();
+}
+
+/// Fail fast within a round: shard 0 is stopped, shard 1 serves. QT5 on
+/// an odd source runs its Expand round on shard 1 alone, then a degree
+/// round over neighbours of both parities; shard 0 (submitted first)
+/// refuses synchronously, so shard 1's share of that round is skipped.
+/// The failed query reports value 0, not shard 1's partial degree sum.
+TEST_F(ClusterScatterStressTest, FailFastSkipsRoundSiblings) {
+  std::vector<uint32_t> sources;
+  for (uint32_t v = 1; v < graph_->num_vertices() && sources.size() < 20;
+       v += 2) {
+    const auto neighbors = graph_->Neighbors(v);
+    if (neighbors.size() > 128) continue;  // Keep the Expand cap moot.
+    bool even = false;
+    bool odd = false;
+    for (const uint32_t u : neighbors) {
+      if (u % 2 == 0) {
+        even = true;
+      } else {
+        odd = true;
+      }
+    }
+    if (even && odd) sources.push_back(v);
+  }
+  ASSERT_EQ(sources.size(), 20u);
+
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  Cluster cluster(graph_, &registry, SystemClock::Global(),
+                  TwoShardOptions());
+  ASSERT_TRUE(cluster.Start().ok());
+  cluster.shard(0)->Stop(/*drain=*/false);
+  for (const uint32_t v : sources) {
+    GraphQuery q;
+    q.op = GraphOp::kNeighborDegreeSum;
+    q.source = v;
+    const GraphQueryResult result = Ask(cluster, q);
+    EXPECT_FALSE(result.ok) << "source " << v;
+    EXPECT_EQ(result.value, 0u) << "source " << v;
+  }
+  // One subquery per query on each shard: the Expand round on shard 1,
+  // the refused degree subquery on shard 0.
+  EXPECT_EQ(ShardReceived(cluster, 0), sources.size());
+  EXPECT_EQ(ShardReceived(cluster, 1), sources.size());
+  cluster.Stop();
+}
+
+/// Broker and shard workers park as soon as their rings are dry, and the
+/// gatherer parks as soon as every shard queue is. Each of these
+/// sequential multi-round queries pauses first, so that every worker has
+/// parked, and then crosses parked hand-offs (the broker's always; a
+/// shard's when its worker beats the helping gatherer to a subquery): a
+/// lost wake-up costs the 10 ms park backstop, and a few hundred of them
+/// would blow the bound.
+TEST_F(ClusterScatterStressTest,
+       SequentialMultiRoundQueriesNeverWaitForBackstop) {
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  Cluster::Options options = TwoShardOptions();
+  options.broker_workers = 4;
+  Cluster cluster(graph_, &registry, SystemClock::Global(), options);
+  ASSERT_TRUE(cluster.Start().ok());
+  constexpr int kQueries = 1000;
+  Rng rng(81);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kQueries; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    const GraphOp op =
+        i % 2 == 0 ? GraphOp::kNeighborDegreeSum : GraphOp::kTwoHopDedup;
+    ASSERT_TRUE(Ask(cluster, Cluster::SampleQuery(op, *graph_, rng)).ok);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  cluster.Stop();
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
 /// Satellite (f): with Options::shard_metrics wired, shard stages report

@@ -117,6 +117,36 @@ TEST(StageTest, ProcessesSubmittedWork) {
   EXPECT_EQ(f.stage->counters().received, 50u);
 }
 
+/// Idle workers park as soon as the rings read dry. Each of these
+/// strictly sequential round trips pauses first, so that every worker has
+/// parked, and then depends on the submit-side wake-up: a lost one costs
+/// the 10 ms park backstop, and a few hundred of them would blow the
+/// bound. Odd round trips submit a batch of two (one wake-up per queued
+/// item).
+TEST(StageTest, SequentialRoundTripsNeverWaitForBackstop) {
+  StageFixture f(PolicyKind::kAlwaysAccept, /*workers=*/4);
+  ASSERT_TRUE(f.stage->Start().ok());
+  constexpr int kRoundTrips = 5000;
+  int submitted = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRoundTrips; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    if (i % 2 == 0) {
+      f.stage->Submit(f.MakeItem());
+      submitted += 1;
+    } else {
+      std::array<WorkItem, 2> batch{f.MakeItem(), f.MakeItem()};
+      f.stage->SubmitBatch(batch);
+      submitted += 2;
+    }
+    while (f.done_count.load() < submitted) std::this_thread::yield();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  f.stage->Stop();
+  EXPECT_EQ(f.completed.load(), submitted);
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
 TEST(StageTest, TimestampsAreOrdered) {
   StageFixture f;
   ASSERT_TRUE(f.stage->Start().ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -164,6 +165,54 @@ TEST(ParkingLotTest, NotifyWakesParkedThread) {
   lot.NotifyOne();
   sleeper.join();
   EXPECT_TRUE(woke.load());
+}
+
+/// NotifyN(2) with four parked threads wakes two of them. A parked
+/// thread also returns on the 10 ms backstop, so an attempt only counts
+/// when its wake count was read before the first thread's backstop could
+/// fire; a slow attempt is retried. NotifyAll would wake all four in
+/// every attempt that counts.
+TEST(ParkingLotTest, NotifyNWakesAtMostN) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kThreads = 4;
+  constexpr int kWake = 2;
+  bool measured = false;
+  for (int attempt = 0; attempt < 50 && !measured; ++attempt) {
+    ParkingLot lot;
+    std::atomic<int> parked{0};
+    std::atomic<int> woke{0};
+    std::atomic<int64_t> first_park_ns{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        lot.ParkUnless([&] {
+          // Runs under the lot's mutex, which the thread holds until it
+          // waits: once `parked` reads kThreads, every thread is waiting.
+          if (parked.fetch_add(1) == 0) {
+            first_park_ns.store(Clock::now().time_since_epoch().count());
+          }
+          return false;
+        });
+        woke.fetch_add(1);
+      });
+    }
+    while (parked.load() < kThreads) std::this_thread::yield();
+    const Clock::time_point backstop =
+        Clock::time_point(Clock::duration(first_park_ns.load())) +
+        ParkingLot::kParkBackstop;
+    const Clock::time_point read_at = backstop - ParkingLot::kParkBackstop / 4;
+    lot.NotifyN(kWake);
+    while (woke.load() < kThreads && Clock::now() < read_at) {
+      std::this_thread::yield();
+    }
+    const int woken = woke.load();
+    if (Clock::now() < backstop && woken >= kWake) {
+      measured = true;
+      EXPECT_EQ(woken, kWake) << "attempt " << attempt;
+    }
+    for (std::thread& t : threads) t.join();  // The rest time out.
+  }
+  EXPECT_TRUE(measured) << "no attempt finished inside the backstop window";
 }
 
 TEST(ParkingLotTest, RecheckSkipsPark) {
