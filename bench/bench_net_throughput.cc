@@ -1,6 +1,6 @@
 // Network front-end throughput: drives the NetServer over loopback with
-// the closed-loop NetClient, comparing variants per (backend x loops x
-// connections x in-flight) cell —
+// the closed-loop NetClient, comparing variants per (loops x connections
+// x in-flight) cell —
 //
 //   inproc     closed-loop Cluster::Submit calls in-process (no sockets):
 //              the ceiling the network path is measured against;
@@ -15,10 +15,7 @@
 // scaling needs real cores — the JSON records hardware_concurrency so a
 // 1-core CI run is read accordingly.
 //
-// Every net cell runs once per event-loop backend (epoll always,
-// io_uring when the kernel passes the functional probe), with the
-// server's data-path syscalls-per-response column the backends compete
-// on directly.
+// Every net cell records the server's data-path syscalls per response.
 //
 // A high-connection ladder (256 / 1k / 10k / 32k / 64k connections,
 // small rings, shallow windows) then checks the front-end holds QPS and
@@ -39,7 +36,6 @@
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -71,7 +67,6 @@ using graph::GraphStore;
 
 struct CellResult {
   std::string variant;
-  std::string backend;  ///< Resolved event-loop backend ("" for inproc).
   size_t loops = 0;  ///< Event loops (0 for the inproc baseline).
   size_t connections = 0;
   size_t in_flight = 0;
@@ -86,7 +81,6 @@ struct CellResult {
 };
 
 struct LadderResult {
-  std::string backend;
   size_t connections = 0;
   size_t loops = 0;
   bool skipped = false;
@@ -318,10 +312,9 @@ CellResult RunInproc(const GraphStore& graph,
 }
 
 CellResult RunNet(const GraphStore& graph,
-                  const std::vector<GraphQuery>& queries,
-                  net::NetBackend backend, size_t loops, size_t connections,
-                  size_t in_flight, Nanos warmup, Nanos measure,
-                  bool tracing = false) {
+                  const std::vector<GraphQuery>& queries, size_t loops,
+                  size_t connections, size_t in_flight, Nanos warmup,
+                  Nanos measure, bool tracing = false) {
   const Slo slo{kSecond, 2 * kSecond, 0};
   QueryTypeRegistry registry = Cluster::MakeRegistry(slo);
   // Cell-local observability plumbing: the recorder is wired in every
@@ -340,7 +333,6 @@ CellResult RunNet(const GraphStore& graph,
     std::exit(1);
   }
   net::NetServer::Options server_options;
-  server_options.backend = backend;
   server_options.num_loops = loops;
   server_options.max_connections = connections + 8;
   server_options.recorder = &recorder;
@@ -409,7 +401,6 @@ CellResult RunNet(const GraphStore& graph,
 
   CellResult r;
   r.variant = "net_batch";
-  r.backend = net::NetBackendName(after.backend);
   r.loops = server.num_loops();
   r.connections = connections;
   r.in_flight = in_flight;
@@ -434,10 +425,9 @@ CellResult RunNet(const GraphStore& graph,
 /// size requires), closed loop, RSS sampled across the measure window.
 LadderResult RunLadder(const GraphStore& graph,
                        const std::vector<GraphQuery>& queries,
-                       net::NetBackend backend, size_t connections,
-                       size_t loops, Nanos warmup, Nanos measure) {
+                       size_t connections, size_t loops, Nanos warmup,
+                       Nanos measure) {
   LadderResult r;
-  r.backend = net::NetBackendName(backend);
   r.connections = connections;
   r.loops = loops;
 
@@ -460,7 +450,6 @@ LadderResult RunLadder(const GraphStore& graph,
     std::exit(1);
   }
   net::NetServer::Options server_options;
-  server_options.backend = backend;
   server_options.num_loops = loops;
   server_options.max_connections = connections + 8;
   server_options.read_ring_bytes = 1 << 12;
@@ -510,7 +499,6 @@ LadderResult RunLadder(const GraphStore& graph,
   server.Stop();
   cluster.Stop();
 
-  r.backend = net::NetBackendName(after.backend);
   r.qps = static_cast<double>(counters.responses) /
           std::chrono::duration<double>(t1 - t0).count();
   r.rt_p50 = latency.p50;
@@ -602,8 +590,7 @@ SurgeResult RunSurge(const GraphStore& graph,
 
 void WriteJson(const std::vector<CellResult>& results,
                const std::vector<LadderResult>& ladder,
-               const SurgeResult& surge, double loop_scaling,
-               const std::string& uring_skip) {
+               const SurgeResult& surge, double loop_scaling) {
   std::FILE* f = std::fopen("BENCH_net_throughput.json", "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"bench\": \"net_throughput\",\n");
@@ -616,28 +603,19 @@ void WriteJson(const std::vector<CellResult>& results,
                  topology.num_brokers, topology.broker_workers,
                  topology.num_shards, topology.shard_workers);
   }
-  if (uring_skip.empty()) {
-    std::fprintf(f, "  \"backends\": [\"epoll\", \"io_uring\"],\n");
-  } else {
-    std::fprintf(f,
-                 "  \"backends\": [\"epoll\"],\n"
-                 "  \"io_uring_skipped\": \"%s\",\n",
-                 uring_skip.c_str());
-  }
   std::fprintf(f, "  \"cells\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const CellResult& r = results[i];
     std::fprintf(
         f,
-        "    {\"variant\": \"%s\", \"backend\": \"%s\", \"loops\": %zu, "
+        "    {\"variant\": \"%s\", \"loops\": %zu, "
         "\"connections\": %zu, "
         "\"in_flight\": %zu, \"tracing\": %d, \"seconds\": %.3f, "
         "\"completed\": %llu, "
         "\"qps\": %.0f, \"rt_p50_us\": %.1f, \"rt_p99_us\": %.1f, "
         "\"avg_batch\": %.1f, \"sys_per_req\": %.3f}%s\n",
-        r.variant.c_str(), r.backend.c_str(), r.loops, r.connections,
-        r.in_flight, r.tracing, r.seconds,
-        static_cast<unsigned long long>(r.completed), r.qps,
+        r.variant.c_str(), r.loops, r.connections, r.in_flight, r.tracing,
+        r.seconds, static_cast<unsigned long long>(r.completed), r.qps,
         static_cast<double>(r.rt_p50) / 1000.0,
         static_cast<double>(r.rt_p99) / 1000.0, r.avg_batch, r.sys_per_req,
         i + 1 < results.size() ? "," : "");
@@ -647,21 +625,19 @@ void WriteJson(const std::vector<CellResult>& results,
     const LadderResult& r = ladder[i];
     if (r.skipped) {
       std::fprintf(f,
-                   "    {\"backend\": \"%s\", \"connections\": %zu, "
-                   "\"loops\": %zu, "
+                   "    {\"connections\": %zu, \"loops\": %zu, "
                    "\"skipped\": \"%s\"}%s\n",
-                   r.backend.c_str(), r.connections, r.loops,
-                   r.skip_reason.c_str(), i + 1 < ladder.size() ? "," : "");
+                   r.connections, r.loops, r.skip_reason.c_str(),
+                   i + 1 < ladder.size() ? "," : "");
     } else {
       std::fprintf(
           f,
-          "    {\"backend\": \"%s\", \"connections\": %zu, \"loops\": %zu, "
+          "    {\"connections\": %zu, \"loops\": %zu, "
           "\"qps\": %.0f, "
           "\"rt_p50_us\": %.1f, \"rt_p99_us\": %.1f, \"sys_per_req\": %.3f, "
           "\"rss_start_kb\": %ld, "
           "\"rss_end_kb\": %ld}%s\n",
-          r.backend.c_str(), r.connections, r.loops, r.qps,
-          static_cast<double>(r.rt_p50) / 1000.0,
+          r.connections, r.loops, r.qps, static_cast<double>(r.rt_p50) / 1000.0,
           static_cast<double>(r.rt_p99) / 1000.0, r.sys_per_req,
           r.rss_start_kb, r.rss_end_kb, i + 1 < ladder.size() ? "," : "");
     }
@@ -684,8 +660,8 @@ void WriteJson(const std::vector<CellResult>& results,
 
 int Main() {
   PrintPreamble("bench_net_throughput",
-                "sharded front-end over loopback: epoll vs io_uring "
-                "backends, loop scaling, vs the in-process ceiling");
+                "sharded front-end over loopback: loop scaling vs the "
+                "in-process ceiling");
 
   Nanos warmup = 300 * kMillisecond;
   Nanos measure = 600 * kMillisecond;
@@ -707,18 +683,6 @@ int Main() {
   }
   const std::vector<size_t> loop_sweep = LoopSweep();
 
-  // Both backends in one invocation: epoll always, io_uring when the
-  // kernel passes the functional probe (otherwise noted in the JSON so a
-  // fallback run is never mistaken for a comparison).
-  std::vector<net::NetBackend> backends = {net::NetBackend::kEpoll};
-  std::string uring_skip;
-  if (net::NetServer::UringSupported(&uring_skip)) {
-    backends.push_back(net::NetBackend::kUring);
-    uring_skip.clear();
-  } else {
-    std::printf("io_uring backend skipped: %s\n", uring_skip.c_str());
-  }
-
   graph::GeneratorOptions graph_options;
   graph_options.num_vertices = 20'000;
   graph_options.edges_per_vertex = 8;
@@ -728,10 +692,10 @@ int Main() {
   std::printf("hardware_concurrency: %u, loop sweep:",
               std::thread::hardware_concurrency());
   for (const size_t loops : loop_sweep) std::printf(" %zu", loops);
-  std::printf("\n\n%-10s %-9s %6s %6s %9s %12s %12s %12s %10s %8s\n",
-              "variant", "backend", "loops", "conns", "in_flight", "qps",
-              "p50_us", "p99_us", "avg_batch", "sys/req");
-  PrintRule(103);
+  std::printf("\n\n%-10s %6s %6s %9s %12s %12s %12s %10s %8s\n",
+              "variant", "loops", "conns", "in_flight", "qps", "p50_us",
+              "p99_us", "avg_batch", "sys/req");
+  PrintRule(93);
   std::vector<CellResult> results;
   double capacity_qps = 0;
   for (const auto& [connections, in_flight] : grid) {
@@ -741,26 +705,22 @@ int Main() {
     inproc.connections = connections;
     inproc.in_flight = in_flight;
     results.push_back(inproc);
-    for (const net::NetBackend backend : backends) {
-      for (const size_t loops : loop_sweep) {
-        const CellResult r = RunNet(graph, queries, backend, loops,
-                                    connections, in_flight, warmup, measure);
-        results.push_back(r);
-        if (r.qps > capacity_qps) capacity_qps = r.qps;
-      }
+    for (const size_t loops : loop_sweep) {
+      const CellResult r = RunNet(graph, queries, loops, connections,
+                                  in_flight, warmup, measure);
+      results.push_back(r);
+      if (r.qps > capacity_qps) capacity_qps = r.qps;
     }
     for (size_t i = row_start; i < results.size(); ++i) {
       const CellResult& r = results[i];
-      std::printf("%-10s %-9s %6zu %6zu %9zu %12.0f %12.1f %12.1f %10.1f "
+      std::printf("%-10s %6zu %6zu %9zu %12.0f %12.1f %12.1f %10.1f "
                   "%8.2f\n",
-                  r.variant.c_str(),
-                  r.backend.empty() ? "-" : r.backend.c_str(), r.loops,
-                  r.connections, r.in_flight, r.qps,
-                  static_cast<double>(r.rt_p50) / 1000.0,
+                  r.variant.c_str(), r.loops, r.connections, r.in_flight,
+                  r.qps, static_cast<double>(r.rt_p50) / 1000.0,
                   static_cast<double>(r.rt_p99) / 1000.0, r.avg_batch,
                   r.sys_per_req);
     }
-    PrintRule(103);
+    PrintRule(93);
   }
 
   // High-connection ladder at the sweep's min and max loop counts.
@@ -769,52 +729,46 @@ int Main() {
     ladder_loops.push_back(loop_sweep.back());
   }
   std::vector<LadderResult> ladder;
-  std::printf("\nladder (in_flight=2, 4k rings)\n%-9s %6s %6s %12s %12s "
+  std::printf("\nladder (in_flight=2, 4k rings)\n%6s %6s %12s %12s "
               "%12s %8s %12s %12s\n",
-              "backend", "conns", "loops", "qps", "p50_us", "p99_us",
-              "sys/req", "rss0_kb", "rss1_kb");
-  PrintRule(97);
+              "conns", "loops", "qps", "p50_us", "p99_us", "sys/req",
+              "rss0_kb", "rss1_kb");
+  PrintRule(87);
   double ladder_1 = 0, ladder_n = 0;
   for (const size_t connections : ladder_conns) {
-    for (const net::NetBackend backend : backends) {
-      for (const size_t loops : ladder_loops) {
-        const LadderResult r = RunLadder(graph, queries, backend,
-                                         connections, loops, warmup, measure);
-        ladder.push_back(r);
-        if (r.skipped) {
-          std::printf("%-9s %6zu %6zu skipped: %s\n", r.backend.c_str(),
-                      r.connections, r.loops, r.skip_reason.c_str());
-          continue;
-        }
-        std::printf("%-9s %6zu %6zu %12.0f %12.1f %12.1f %8.3f %12ld "
-                    "%12ld\n",
-                    r.backend.c_str(), r.connections, r.loops, r.qps,
-                    static_cast<double>(r.rt_p50) / 1000.0,
-                    static_cast<double>(r.rt_p99) / 1000.0, r.sys_per_req,
-                    r.rss_start_kb, r.rss_end_kb);
-        if (connections == 256 && backend == net::NetBackend::kEpoll) {
-          if (loops == ladder_loops.front()) ladder_1 = r.qps;
-          if (loops == ladder_loops.back()) ladder_n = r.qps;
-        }
+    for (const size_t loops : ladder_loops) {
+      const LadderResult r = RunLadder(graph, queries, connections, loops,
+                                       warmup, measure);
+      ladder.push_back(r);
+      if (r.skipped) {
+        std::printf("%6zu %6zu skipped: %s\n", r.connections, r.loops,
+                    r.skip_reason.c_str());
+        continue;
+      }
+      std::printf("%6zu %6zu %12.0f %12.1f %12.1f %8.3f %12ld %12ld\n",
+                  r.connections, r.loops, r.qps,
+                  static_cast<double>(r.rt_p50) / 1000.0,
+                  static_cast<double>(r.rt_p99) / 1000.0, r.sys_per_req,
+                  r.rss_start_kb, r.rss_end_kb);
+      if (connections == 256) {
+        if (loops == ladder_loops.front()) ladder_1 = r.qps;
+        if (loops == ladder_loops.back()) ladder_n = r.qps;
       }
     }
   }
-  PrintRule(97);
+  PrintRule(87);
 
   // Tracing overhead pair: the largest grid cell, net_batch, with the
   // flight recorder off vs on at the default 1-in-64 sampling (the
   // always-on observability bar is < 3% QPS cost). The on cell also
   // serves the BOUNCER_BENCH_NET_STATS_OUT live-snapshot hook.
   const auto [trace_conns, trace_flight] = grid.back();
-  const net::NetBackend trace_backend = backends.back();
   const CellResult trace_off =
-      RunNet(graph, queries, trace_backend,
-             loop_sweep.front(), trace_conns, trace_flight, warmup, measure,
-             /*tracing=*/false);
+      RunNet(graph, queries, loop_sweep.front(), trace_conns, trace_flight,
+             warmup, measure, /*tracing=*/false);
   const CellResult trace_on =
-      RunNet(graph, queries, trace_backend,
-             loop_sweep.front(), trace_conns, trace_flight, warmup, measure,
-             /*tracing=*/true);
+      RunNet(graph, queries, loop_sweep.front(), trace_conns, trace_flight,
+             warmup, measure, /*tracing=*/true);
   results.push_back(trace_off);
   results.push_back(trace_on);
   std::printf("\n%-10s %6zu %6zu %9zu %12.0f   (tracing off)\n",
@@ -842,24 +796,20 @@ int Main() {
               surge.rss_start_kb, surge.rss_end_kb,
               surge.rss_end_kb - surge.rss_start_kb);
 
-  // Per-backend syscall cost at the largest grid cell (net_batch, first
-  // loop count): the number the io_uring backend exists to shrink.
-  std::vector<std::string> summarized;
+  // Syscall cost at the largest grid cell (net_batch, first loop count).
   for (const CellResult& r : results) {
     if (r.variant == "net_batch" && r.loops == loop_sweep.front() &&
         r.connections == grid.back().first && r.tracing == 0 &&
-        r.sys_per_req > 0 &&
-        std::find(summarized.begin(), summarized.end(), r.backend) ==
-            summarized.end()) {
-      summarized.push_back(r.backend);
-      std::printf("%s: %.3f syscalls/request at %zu conns\n",
-                  r.backend.c_str(), r.sys_per_req, r.connections);
+        r.sys_per_req > 0) {
+      std::printf("%.3f syscalls/request at %zu conns\n", r.sys_per_req,
+                  r.connections);
+      break;
     }
   }
 
   const double loop_scaling =
       (ladder_1 > 0 && ladder_loops.size() > 1) ? ladder_n / ladder_1 : 0;
-  WriteJson(results, ladder, surge, loop_scaling, uring_skip);
+  WriteJson(results, ladder, surge, loop_scaling);
   std::printf("wrote BENCH_net_throughput.json\n");
   if (loop_scaling > 0) {
     std::printf("256 conns: loops %zu -> %zu scaling = %.2fx\n",

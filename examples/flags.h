@@ -8,13 +8,10 @@
 #define BOUNCER_EXAMPLES_FLAGS_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
-
-#include "src/net/net_server.h"
 
 namespace bouncer::examples {
 
@@ -90,21 +87,6 @@ class CliFlags {
     if (e == nullptr) return fallback;
     if (!e->has_value) return true;
     return e->value == "1" || e->value == "true";
-  }
-
-  /// `--backend=auto|epoll|io_uring`, shared by every binary that fronts
-  /// or drives a NetServer. Exits with a usage message on a bad value so
-  /// a typo never silently runs the wrong event loop.
-  net::NetBackend GetBackend(const char* name, net::NetBackend fallback) {
-    const Entry* e = Consume(name);
-    if (e == nullptr || !e->has_value) return fallback;
-    net::NetBackend backend;
-    if (!net::ParseNetBackend(e->value, &backend)) {
-      std::fprintf(stderr, "bad --%s value: %s (auto|epoll|io_uring)\n",
-                   name, e->value.c_str());
-      std::exit(1);
-    }
-    return backend;
   }
 
   /// Flags that were passed but never consumed by a getter (plus any

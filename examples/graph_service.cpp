@@ -49,10 +49,7 @@ void PrintHelp() {
       "  --serve-seconds=N   with --listen: stop after N s (0 = until "
       "SIGINT)\n"
       "  --loops=N           with --listen: event loops / SO_REUSEPORT\n"
-      "                      listeners (default 0 = min(cores, 4))\n"
-      "  --backend=KIND      with --listen: event-loop backend — auto,\n"
-      "                      epoll, or io_uring (default auto: probe the\n"
-      "                      kernel, fall back to epoll)\n\n"
+      "                      listeners (default 0 = min(cores, 4))\n\n"
       "  observability\n"
       "  --stats-interval=N  with --listen: print a metric-registry "
       "summary\n"
@@ -100,8 +97,6 @@ int main(int argc, char** argv) {
   const auto listen_port = static_cast<uint16_t>(flags.GetUint("listen", 0));
   const auto serve_seconds = flags.GetUint("serve-seconds", 0);
   const auto num_loops = flags.GetUint("loops", 0);
-  const net::NetBackend backend =
-      flags.GetBackend("backend", net::NetBackend::kAuto);
   const auto stats_interval_s = flags.GetUint("stats-interval", 2);
   const bool trace_on = flags.GetBool("trace", true);
   const auto trace_sample = flags.GetUint("trace-sample", 64);
@@ -188,7 +183,6 @@ int main(int argc, char** argv) {
     net::NetServer::Options server_options;
     server_options.port = listen_port;
     server_options.num_loops = num_loops;
-    server_options.backend = backend;
     server_options.metrics = &metric_registry;
     server_options.tenants = &tenant_registry;
     net::NetServer server(&cluster, server_options);
@@ -203,10 +197,6 @@ int main(int argc, char** argv) {
                 server_options.bind_address.c_str(), server.port(),
                 net::NetBackendName(server.backend()), server.num_loops(),
                 server.num_loops() == 1 ? "" : "s");
-    if (!server.backend_fallback_reason().empty()) {
-      std::printf("  (io_uring unavailable: %s)\n",
-                  server.backend_fallback_reason().c_str());
-    }
     std::fflush(stdout);
     const Nanos stop_at =
         serve_seconds == 0

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "examples/flags.h"
@@ -34,10 +33,6 @@ void PrintHelp() {
       "  --connections=N   TCP connections (default 8)\n"
       "  --threads=N       client IO event loops (default 2;\n"
       "                    --loops=N is an alias, mirroring the server)\n"
-      "  --backend=KIND    auto|epoll|io_uring, mirroring the server "
-      "flag;\n"
-      "                    client IO loops are epoll-based, so io_uring\n"
-      "                    falls back to epoll with a note\n"
       "  --duration-s=N    run length in seconds (default 5)\n"
       "  --vertices=N      vertex-id space of the server's graph "
       "(default 50000)\n"
@@ -83,12 +78,6 @@ int main(int argc, char** argv) {
   options.num_io_threads =
       flags.GetUint("threads", flags.GetUint("loops", 2));
   options.in_flight_per_conn = flags.GetUint("in-flight", 16);
-  if (flags.GetBackend("backend", net::NetBackend::kAuto) ==
-      net::NetBackend::kUring) {
-    std::fprintf(stderr,
-                 "note: net_client IO loops are epoll-based; --backend "
-                 "selects the server side (see graph_service --backend)\n");
-  }
   const double qps = flags.GetDouble("qps", 500);
   const auto duration_s = flags.GetUint("duration-s", 5);
   const bool closed_loop = flags.GetBool("closed-loop", false);
@@ -136,20 +125,6 @@ int main(int argc, char** argv) {
     }
     std::fwrite(payload.data(), 1, payload.size(), stdout);
     if (payload.empty() || payload.back() != '\n') std::printf("\n");
-    // The net.backend_io_uring gauge says which event-loop backend
-    // served this very fetch; summarize it so nobody has to eyeball the
-    // JSON.
-    if (fetch.op == net::kOpStatsJson) {
-      const size_t pos = payload.find("\"net.backend_io_uring\"");
-      const size_t colon =
-          pos == std::string::npos ? pos : payload.find(':', pos);
-      if (colon != std::string::npos) {
-        const bool uring =
-            std::strtol(payload.c_str() + colon + 1, nullptr, 10) != 0;
-        std::fprintf(stderr, "server backend: %s\n",
-                     uring ? "io_uring" : "epoll");
-      }
-    }
     return 0;
   }
 

@@ -14,6 +14,7 @@
 #include <cstring>
 
 #include "src/util/clock.h"
+#include "src/util/thread_name.h"
 
 namespace bouncer::net {
 
@@ -163,6 +164,7 @@ Status NetClient::Start() {
   running_.store(true, std::memory_order_release);
   for (size_t t = 0; t < nthreads; ++t) {
     threads_.emplace_back([this, t] { IoThread(t); });
+    SetThreadName(threads_.back(), "netcli-io" + std::to_string(t));
   }
   return Status::OK();
 }

@@ -11,12 +11,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 
-#include "src/net/net_server_internal.h"
 #include "src/util/clock.h"
+#include "src/util/thread_name.h"
 
 namespace bouncer::net {
 
@@ -24,6 +23,37 @@ using graph::GraphQueryResult;
 using server::Outcome;
 
 namespace {
+
+/// epoll user-data tokens for the two non-connection fds.
+constexpr uint64_t kListenToken = ~uint64_t{0};
+constexpr uint64_t kEventToken = ~uint64_t{0} - 1;
+
+/// Events drained per epoll_wait call; a wakeup with more ready fds just
+/// takes another loop iteration.
+constexpr int kMaxEpollEvents = 128;
+
+/// How long a loop stops accepting after accept fails for want of fds or
+/// memory. The pending connection stays in the listen backlog and is
+/// accepted by the first retry that finds a free fd.
+constexpr Nanos kAcceptBackoff = 10 * kMillisecond;
+
+/// Connection-token field widths: generation << 32 | loop << 24 | slot.
+constexpr uint32_t kSlotBits = 24;
+constexpr uint32_t kSlotMask = (1u << kSlotBits) - 1;
+constexpr uint32_t kLoopMask = 0xff;
+constexpr size_t kMaxLoops = 255;
+
+/// Data-path syscall accounting (Stats::syscalls). Templated so it never
+/// names the private LoopCounters type.
+template <typename Counters>
+void CountSyscall(Counters& counters) {
+  counters.syscalls.fetch_add(1, std::memory_order_relaxed);
+}
+
+void WriteEventFd(int fd) {
+  const uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(fd, &one, sizeof(one));
+}
 
 ResponseStatus ToStatus(Outcome outcome, bool result_ok) {
   switch (outcome) {
@@ -47,36 +77,117 @@ Status SysError(const char* step) {
 
 }  // namespace
 
-const char* NetBackendName(NetBackend backend) {
-  switch (backend) {
-    case NetBackend::kAuto:
-      return "auto";
-    case NetBackend::kEpoll:
-      return "epoll";
-    case NetBackend::kUring:
-      return "io_uring";
-  }
-  return "epoll";
-}
+/// One connection slot, owned by exactly one loop for its whole life.
+/// Slots (and their rings) are allocated once and recycled across
+/// connections; `gen` stamps each incarnation so a completion for a
+/// closed connection resolves to nothing instead of a stranger's socket.
+struct NetServer::Connection {
+  Connection(size_t rx_bytes, size_t tx_bytes) : rx(rx_bytes), tx(tx_bytes) {}
 
-bool ParseNetBackend(const std::string& text, NetBackend* out) {
-  if (text == "auto") {
-    *out = NetBackend::kAuto;
-  } else if (text == "epoll") {
-    *out = NetBackend::kEpoll;
-  } else if (text == "io_uring" || text == "uring") {
-    *out = NetBackend::kUring;
-  } else {
-    return false;
-  }
-  return true;
-}
+  int fd = -1;
+  uint32_t index = 0;    ///< Slot index within the owning loop (24 bits).
+  uint32_t loop_id = 0;  ///< Owning loop (8 bits); never changes.
+  uint32_t gen = 1;
+  ByteRing rx;
+  ByteRing tx;
+  /// Parsed requests whose response has not yet been encoded into `tx`.
+  /// Invariant: tx.free_space() >= owed * kResponseFrameBytes, so a
+  /// completion can always be answered without dropping or buffering.
+  size_t owed = 0;
+  uint32_t armed_events = 0;  ///< Events currently registered in epoll.
+  bool want_read = true;
+  bool dirty = false;  ///< Has tx bytes awaiting a flush this iteration.
+  bool read_paused_inflight = false;
+  bool read_paused_tx = false;
+  bool read_paused_overload = false;
+  bool closing = false;  ///< Peer EOF seen; flush what is owed, then close.
 
-bool NetServer::UringSupported(std::string* reason) {
-  const UringSupport& support = QueryUringSupport();
-  if (!support.supported && reason != nullptr) *reason = support.reason;
-  return support.supported;
-}
+  /// Admin response in progress: the rendered payload streams into `tx`
+  /// in chunks as space frees up, never displacing the frames reserved
+  /// for the `owed` graph responses. One admin response at a time per
+  /// connection; a second admin frame stays buffered in `rx` meanwhile.
+  bool admin_active = false;
+  uint64_t admin_id = 0;       ///< Request id echoed in every chunk.
+  size_t admin_offset = 0;     ///< Payload bytes already written.
+  std::string admin_payload;
+
+  uint64_t Token() const {
+    return (static_cast<uint64_t>(gen) << 32) |
+           (static_cast<uint64_t>(loop_id) << kSlotBits) | index;
+  }
+};
+
+struct NetServer::Pending {
+  Loop* loop = nullptr;  ///< Owning loop (completion routing).
+  uint64_t token = 0;
+  uint64_t request_id = 0;
+  TenantId tenant = kDefaultTenant;  ///< Dense index (outcome accounting).
+};
+
+/// One reactor: everything a loop thread touches on the hot path lives
+/// here and is owned by that thread alone (the done-ring is the only
+/// cross-thread entry point, a bounded MPMC).
+struct NetServer::Loop {
+  Loop(NetServer* server_in, size_t id_in, size_t done_ring_capacity)
+      : server(server_in),
+        id(static_cast<uint32_t>(id_in)),
+        pending_pool(4096),
+        done_ring(done_ring_capacity) {}
+
+  NetServer* server;
+  uint32_t id;
+
+  int listen_fd = -1;  ///< Own listener (SO_REUSEPORT with > 1 loop).
+  int epoll_fd = -1;
+  int event_fd = -1;
+  /// The listener is registered for EPOLLIN.
+  bool accept_armed = false;
+  /// Non-zero while accept is backed off (AcceptReady): the time the loop
+  /// may poll its listener again.
+  Nanos accept_retry_at = 0;
+
+  std::vector<std::unique_ptr<Connection>> slots;
+  std::vector<uint32_t> free_slots;
+
+  /// Parse scratch for one admission episode (reused, never freed).
+  std::vector<graph::Cluster::BatchRequest> batch;
+  std::vector<uint64_t> batch_tokens;  ///< Connection of each batch entry.
+
+  ObjectPool<Pending> pending_pool;
+  /// Worker-thread completions only. The loop thread never pushes here:
+  /// its synchronous completions (rejections inside Submit/SubmitBatch)
+  /// deliver inline, so a full ring can never make the loop wait on
+  /// itself — it only throttles workers until the next loop drain.
+  MpmcQueue<Done> done_ring;
+  std::atomic<bool> done_signal{false};
+  /// True only while the loop thread is blocked (or about to block) in
+  /// its wait. Workers only pay the eventfd write(2) when they see it:
+  /// an awake loop drains the ring every iteration anyway, so pushes
+  /// meanwhile coalesce to zero syscalls. Dekker-paired (seq_cst
+  /// fences) with the loop's pre-wait ring emptiness check so a push
+  /// can never slip between the check and the block unnoticed.
+  std::atomic<bool> done_waiting{false};
+
+  std::atomic<std::thread::id> tid{};
+  /// True while this loop's thread is inside a Cluster submit call.
+  /// Loop-thread completions arriving then are parked in deferred_dones
+  /// (delivery can resume reads, which would mutate batch mid-submit)
+  /// and delivered as soon as the submit returns.
+  bool in_submit = false;
+  /// SubmitParsed nesting depth (delivery of deferred completions can
+  /// resume reads that re-enter it); only depth 0 delivers.
+  size_t submit_depth = 0;
+  std::vector<Done> deferred_dones;  ///< Loop-only scratch, reused.
+
+  /// Connections paused for broker-queue overload, re-checked every loop
+  /// iteration; sheds observed by the last submit episode set this.
+  bool overload_paused = false;
+
+  LoopCounters counters;
+  std::thread thread;
+};
+
+const char* NetBackendName(NetBackend) { return "epoll"; }
 
 NetServer::NetServer(graph::Cluster* cluster, const Options& options)
     : cluster_(cluster), options_(options) {
@@ -160,28 +271,6 @@ Status NetServer::Start() {
     loop.deferred_dones.reserve(options_.max_batch);
   }
 
-  // Backend resolution. kAuto degrades to epoll with a recorded reason;
-  // explicit kUring fails Start() instead so a misconfigured deployment
-  // is loud, not silently slower.
-  backend_ = NetBackend::kEpoll;
-  backend_fallback_reason_.clear();
-  if (options_.backend != NetBackend::kEpoll) {
-    const UringSupport& support = QueryUringSupport();
-    if (support.supported) {
-      backend_ = NetBackend::kUring;
-    } else if (options_.backend == NetBackend::kUring) {
-      loops_.clear();
-      return Status::FailedPrecondition("io_uring backend unavailable: " +
-                                        support.reason);
-    } else {
-      backend_fallback_reason_ = support.reason;
-      std::fprintf(stderr,
-                   "[net] io_uring unavailable (%s); backend=auto falling "
-                   "back to epoll\n",
-                   support.reason.c_str());
-    }
-  }
-
   if (Status s = StartListeners(); !s.ok()) {
     CloseAll();
     loops_.clear();
@@ -196,39 +285,22 @@ Status NetServer::Start() {
       return Status::Internal("eventfd setup failed");
     }
   }
-  if (backend_ == NetBackend::kUring && !UringSetupLoops()) {
-    // Probe passed but ring setup failed (fd or memlock limits, most
-    // likely). Explicit kUring surfaces it; kAuto degrades.
-    if (options_.backend == NetBackend::kUring) {
+  for (auto& loop_ptr : loops_) {
+    Loop& loop = *loop_ptr;
+    loop.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (loop.epoll_fd < 0) {
       CloseAll();
       loops_.clear();
-      return Status::Internal("io_uring setup failed: " +
-                              backend_fallback_reason_);
+      return Status::Internal("epoll setup failed");
     }
-    std::fprintf(stderr,
-                 "[net] io_uring setup failed (%s); backend=auto falling "
-                 "back to epoll\n",
-                 backend_fallback_reason_.c_str());
-    backend_ = NetBackend::kEpoll;
-  }
-  if (backend_ == NetBackend::kEpoll) {
-    for (auto& loop_ptr : loops_) {
-      Loop& loop = *loop_ptr;
-      loop.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-      if (loop.epoll_fd < 0) {
-        CloseAll();
-        loops_.clear();
-        return Status::Internal("epoll setup failed");
-      }
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.u64 = kListenToken;
-      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.listen_fd, &ev);
-      loop.accept_armed = true;
-      ev.events = EPOLLIN;
-      ev.data.u64 = kEventToken;
-      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.event_fd, &ev);
-    }
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenToken;
+    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.listen_fd, &ev);
+    loop.accept_armed = true;
+    ev.events = EPOLLIN;
+    ev.data.u64 = kEventToken;
+    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.event_fd, &ev);
   }
 
   if (options_.metrics != nullptr) {
@@ -238,10 +310,6 @@ Status NetServer::Start() {
 #define BOUNCER_NET_EXPORT_COUNTER(name) sink.AddCounter("net." #name, s.name);
           BOUNCER_NET_COUNTERS(BOUNCER_NET_EXPORT_COUNTER)
 #undef BOUNCER_NET_EXPORT_COUNTER
-          // 1 when the io_uring backend is serving, 0 for epoll — how
-          // `net_client --stats` learns which backend answered it.
-          sink.AddGauge("net.backend_io_uring",
-                        backend_ == NetBackend::kUring ? 1 : 0);
           sink.AddGauge("net.loops", static_cast<int64_t>(loops_.size()));
           for (size_t i = 0; i < loops_.size(); ++i) {
             const Stats ls = LoopStats(i);
@@ -301,6 +369,7 @@ Status NetServer::Start() {
   for (auto& loop_ptr : loops_) {
     Loop& loop = *loop_ptr;
     loop.thread = std::thread([this, &loop] { RunLoop(loop); });
+    SetThreadName(loop.thread, "net-loop" + std::to_string(loop.id));
   }
   return Status::OK();
 }
@@ -326,7 +395,12 @@ void NetServer::Stop() {
   while (inflight_dones_.load(std::memory_order_acquire) != 0) {
     CpuRelax();
   }
+  // Completions that landed after the loops exited are counted now, with
+  // every connection already closed: DeliverDone then only counts them
+  // (dropped at close) and cannot resume a read that would parse new
+  // requests nobody submits.
   CloseAll();
+  for (auto& loop : loops_) DrainCompletions(*loop);
 }
 
 void NetServer::CloseAll() {
@@ -343,8 +417,6 @@ void NetServer::CloseAll() {
     if (loop.epoll_fd >= 0) ::close(loop.epoll_fd);
     if (loop.event_fd >= 0) ::close(loop.event_fd);
     loop.listen_fd = loop.epoll_fd = loop.event_fd = -1;
-    // Closing the ring fd cancels whatever was still in flight.
-    UringDestroyLoop(loop);
   }
 }
 
@@ -370,7 +442,6 @@ NetServer::Stats NetServer::LoopStats(size_t loop) const {
   s.name = c.name.load(std::memory_order_relaxed);
   BOUNCER_NET_COUNTERS(BOUNCER_NET_LOAD_COUNTER)
 #undef BOUNCER_NET_LOAD_COUNTER
-  s.backend = backend_;
   return s;
 }
 
@@ -382,7 +453,6 @@ NetServer::Stats NetServer::AggregateStats() const {
     BOUNCER_NET_COUNTERS(BOUNCER_NET_SUM_COUNTER)
 #undef BOUNCER_NET_SUM_COUNTER
   }
-  total.backend = backend_;
   return total;
 }
 
@@ -398,10 +468,6 @@ NetServer::Connection* NetServer::Resolve(Loop& loop, uint64_t token) {
 }
 
 void NetServer::UpdateInterest(Loop& loop, Connection* conn) {
-  if (backend_ == NetBackend::kUring) {
-    UringUpdateInterest(loop, conn);
-    return;
-  }
   uint32_t want = 0;
   if (conn->want_read && !conn->closing) want |= EPOLLIN;
   if (!conn->tx.empty()) want |= EPOLLOUT;
@@ -489,19 +555,8 @@ void NetServer::Accepted(Loop& loop, int fd) {
   conn->admin_offset = 0;
   conn->admin_payload.clear();
   conn->armed_events = EPOLLIN;
-  conn->recv_armed = false;
-  conn->send_inflight = false;
-  conn->cancel_pending = false;
-  conn->zombie = false;
   loop.counters.connections_accepted.fetch_add(1, std::memory_order_relaxed);
 
-  if (backend_ == NetBackend::kUring) {
-    // Multishot recv plays the role of the persistent EPOLLIN interest;
-    // bytes that arrived before the arm surface as a completion as soon
-    // as the SQE is submitted.
-    UringArmRecv(loop, conn);
-    return;
-  }
   // Level-triggered EPOLLIN: bytes that arrived before this ADD surface
   // on the next epoll_wait.
   epoll_event ev{};
@@ -511,17 +566,7 @@ void NetServer::Accepted(Loop& loop, int fd) {
   CountSyscall(loop.counters);
 }
 
-bool NetServer::AcceptFailed(Loop& loop, int err) {
-  // Anything else (ECONNABORTED, EINTR, EAGAIN, ECANCELED...) concerns
-  // one connection or none; the listener stays polled.
-  if (err != EMFILE && err != ENFILE && err != ENOBUFS && err != ENOMEM) {
-    return false;
-  }
-  loop.accept_retry_at = SystemClock::Global()->Now() + kAcceptBackoff;
-  return true;
-}
-
-void NetServer::EpollAcceptReady(Loop& loop) {
+void NetServer::AcceptReady(Loop& loop) {
   for (;;) {
     CountSyscall(loop.counters);
     const int fd = ::accept4(loop.listen_fd, nullptr, nullptr,
@@ -530,14 +575,22 @@ void NetServer::EpollAcceptReady(Loop& loop) {
       Accepted(loop, fd);
       continue;
     }
+    // Anything else (ECONNABORTED, EINTR, EAGAIN...) concerns one
+    // connection or none; the listener stays polled.
+    const int err = errno;
+    if (err != EMFILE && err != ENFILE && err != ENOBUFS && err != ENOMEM) {
+      return;
+    }
     // The listener is level-triggered: left armed while the fd table is
-    // full, epoll_wait would report it again at once.
-    if (AcceptFailed(loop, errno)) EpollWatchListener(loop, 0);
+    // full, epoll_wait would report it again at once. RunLoop re-arms it
+    // at the retry time.
+    loop.accept_retry_at = SystemClock::Global()->Now() + kAcceptBackoff;
+    WatchListener(loop, 0);
     return;
   }
 }
 
-void NetServer::EpollWatchListener(Loop& loop, uint32_t events) {
+void NetServer::WatchListener(Loop& loop, uint32_t events) {
   epoll_event ev{};
   ev.events = events;
   ev.data.u64 = kListenToken;
@@ -548,10 +601,6 @@ void NetServer::EpollWatchListener(Loop& loop, uint32_t events) {
 
 void NetServer::CloseConn(Loop& loop, Connection* conn) {
   if (conn->fd < 0) return;
-  // io_uring holds a file reference for every outstanding SQE, so close
-  // alone would leave a multishot recv pending forever; cancel first
-  // (by user_data — the fd number may be reused immediately).
-  if (backend_ == NetBackend::kUring) UringPrepareClose(loop, conn);
   ::close(conn->fd);  // Also removes it from the epoll set.
   conn->fd = -1;
   ++conn->gen;  // In-flight completions now resolve to nothing.
@@ -562,24 +611,13 @@ void NetServer::CloseConn(Loop& loop, Connection* conn) {
   conn->admin_active = false;
   conn->admin_payload.clear();
   conn->admin_payload.shrink_to_fit();
-  if (conn->uring_inflight > 0) {
-    // Zombie: the slot returns to free_slots when the last CQE lands.
-    conn->zombie = true;
-  } else {
-    loop.free_slots.push_back(conn->index);
-  }
+  loop.free_slots.push_back(conn->index);
   total_live_.fetch_sub(1, std::memory_order_relaxed);
   loop.counters.connections_closed.fetch_add(1, std::memory_order_relaxed);
 }
 
 void NetServer::ReadConn(Loop& loop, Connection* conn) {
   if (conn->fd < 0 || conn->closing) return;
-  if (backend_ == NetBackend::kUring) {
-    // No synchronous read: drain staged recv buffers, parse, and make
-    // sure the multishot recv is armed again.
-    UringPumpConn(loop, conn);
-    return;
-  }
   for (;;) {
     if (!conn->want_read) return;  // Parse gate paused us mid-read.
     struct iovec iov[2];
@@ -600,7 +638,9 @@ void NetServer::ReadConn(Loop& loop, Connection* conn) {
       continue;
     }
     if (n == 0) {
-      PeerClosed(loop, conn);
+      // Peer EOF: answer what is owed, flush, then close.
+      conn->closing = true;
+      CloseIfDone(loop, conn);
       return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -862,7 +902,10 @@ void NetServer::OnQueryDone(Pending* pending, const server::WorkItem& item,
   // then the completion has no destination and is dropped instead of
   // hanging the cluster's shutdown.
   while (!loop.done_ring.TryPush(std::move(done))) {
-    if (stop_requested_.load(std::memory_order_acquire)) return;
+    if (stop_requested_.load(std::memory_order_acquire)) {
+      CountResponse(loop, done);  // Dropped at close.
+      return;
+    }
     CpuRelax();
   }
   // Wake the loop only if it is (about to be) blocked: an awake loop
@@ -880,7 +923,7 @@ void NetServer::OnQueryDone(Pending* pending, const server::WorkItem& item,
   }
 }
 
-void NetServer::DeliverDone(Loop& loop, const Done& done) {
+ResponseStatus NetServer::CountResponse(Loop& loop, const Done& done) {
   loop.counters.responses.fetch_add(1, std::memory_order_relaxed);
   const auto status = static_cast<ResponseStatus>(done.status);
   switch (status) {
@@ -901,6 +944,11 @@ void NetServer::DeliverDone(Loop& loop, const Done& done) {
     default:
       break;
   }
+  return status;
+}
+
+void NetServer::DeliverDone(Loop& loop, const Done& done) {
+  const auto status = CountResponse(loop, done);
   Connection* conn = Resolve(loop, done.token);
   if (conn == nullptr) return;  // Connection died while in flight.
   --conn->owed;
@@ -1021,10 +1069,6 @@ void NetServer::DrainCompletions(Loop& loop) {
 
 void NetServer::FlushConn(Loop& loop, Connection* conn) {
   if (conn->fd < 0) return;
-  if (backend_ == NetBackend::kUring) {
-    UringFlushConn(loop, conn);
-    return;
-  }
   conn->dirty = false;
   while (!conn->tx.empty()) {
     struct iovec iov[2];
@@ -1046,22 +1090,17 @@ void NetServer::FlushConn(Loop& loop, Connection* conn) {
     CloseConn(loop, conn);
     return;
   }
-  if (conn->tx.empty() && !TxDrained(loop, conn)) return;
-  UpdateInterest(loop, conn);  // Arm EPOLLOUT iff bytes remain.
-}
-
-bool NetServer::TxDrained(Loop& loop, Connection* conn) {
-  if (conn->read_paused_tx) {
-    conn->read_paused_tx = false;
-    ResumeRead(loop, conn);
+  if (conn->tx.empty()) {
+    // Resume a read the write-ring gate paused, and close a half-closed
+    // connection that owes nothing.
+    if (conn->read_paused_tx) {
+      conn->read_paused_tx = false;
+      ResumeRead(loop, conn);
+    }
+    CloseIfDone(loop, conn);
+    if (conn->fd < 0) return;
   }
-  CloseIfDone(loop, conn);
-  return conn->fd >= 0;
-}
-
-void NetServer::PeerClosed(Loop& loop, Connection* conn) {
-  conn->closing = true;
-  CloseIfDone(loop, conn);
+  UpdateInterest(loop, conn);  // Arm EPOLLOUT iff bytes remain.
 }
 
 void NetServer::CloseIfDone(Loop& loop, Connection* conn) {
@@ -1070,14 +1109,8 @@ void NetServer::CloseIfDone(Loop& loop, Connection* conn) {
   }
 }
 
-void NetServer::WaitReturned(Loop& loop) {
-  loop.done_waiting.store(false, std::memory_order_relaxed);
-  loop.counters.wakeups.fetch_add(1, std::memory_order_relaxed);
-}
-
 void NetServer::RunLoop(Loop& loop) {
   loop.tid.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  const bool uring = backend_ == NetBackend::kUring;
   while (!stop_requested_.load(std::memory_order_acquire)) {
     // Overload pauses are re-checked on a short timer (the broker queue
     // drains without producing an event we could wait on), and a
@@ -1087,7 +1120,7 @@ void NetServer::RunLoop(Loop& loop) {
     if (loop.accept_retry_at != 0) {
       const Nanos now = SystemClock::Global()->Now();
       if (now >= loop.accept_retry_at) {
-        loop.accept_retry_at = 0;  // The transport re-arms its listener.
+        loop.accept_retry_at = 0;  // WaitAndDispatch re-arms the listener.
       } else {
         timeout = std::min(timeout, loop.accept_retry_at - now);
       }
@@ -1101,11 +1134,7 @@ void NetServer::RunLoop(Loop& loop) {
     loop.done_waiting.store(true, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (!loop.done_ring.EmptyApprox()) timeout = 0;
-    if (uring) {
-      UringWaitAndDispatch(loop, timeout);
-    } else {
-      EpollWaitAndDispatch(loop, timeout);
-    }
+    WaitAndDispatch(loop, timeout);
     // One admission episode for everything parsed this wakeup, then
     // answer whatever completed — the batch's synchronous rejections are
     // delivered inside SubmitParsed and flushed in this same iteration.
@@ -1127,25 +1156,23 @@ void NetServer::RunLoop(Loop& loop) {
       MaybeResumePaused(loop);
     } while (!loop.batch.empty());
   }
-  // Drain loop-side state so queued completions don't linger unanswered
-  // in the ring (they resolve to dead connections after Stop closes fds).
-  DrainCompletions(loop);
 }
 
-void NetServer::EpollWaitAndDispatch(Loop& loop, Nanos timeout) {
+void NetServer::WaitAndDispatch(Loop& loop, Nanos timeout) {
   if (!loop.accept_armed && loop.accept_retry_at == 0) {
-    EpollWatchListener(loop, EPOLLIN);
+    WatchListener(loop, EPOLLIN);
   }
   epoll_event events[kMaxEpollEvents];
   const int n = ::epoll_wait(
       loop.epoll_fd, events, kMaxEpollEvents,
       static_cast<int>((timeout + kMillisecond - 1) / kMillisecond));
   CountSyscall(loop.counters);
-  WaitReturned(loop);
+  loop.done_waiting.store(false, std::memory_order_relaxed);
+  loop.counters.wakeups.fetch_add(1, std::memory_order_relaxed);
   for (int i = 0; i < n; ++i) {
     const uint64_t token = events[i].data.u64;
     if (token == kListenToken) {
-      EpollAcceptReady(loop);
+      AcceptReady(loop);
       continue;
     }
     if (token == kEventToken) {

@@ -21,25 +21,21 @@
 
 namespace bouncer::net {
 
-/// Event-loop backend for the network front end.
-enum class NetBackend : uint8_t {
-  kAuto = 0,   ///< io_uring when the kernel supports it, else epoll.
-  kEpoll = 1,  ///< epoll_wait + readv/sendmsg/accept4 per ready fd.
-  kUring = 2,  ///< io_uring: multishot accept/recv, batched one-syscall
-               ///< submit-and-wait.
-};
+/// Names the transport in reports; epoll is the only one.
+enum class NetBackend : uint8_t { kEpoll };
 
-/// "auto" | "epoll" | "io_uring".
+/// "epoll".
 const char* NetBackendName(NetBackend backend);
-/// Parses NetBackendName() spellings (plus "uring"); false on anything
-/// else, leaving `out` untouched.
-bool ParseNetBackend(const std::string& text, NetBackend* out);
 
 /// NetServer's counters, declared once: the Stats snapshot fields, the
 /// per-loop atomic block, the per-loop/aggregate readers and the
 /// "net.<name>" metrics all expand this list.
 ///
 ///   connections_dropped  no free slot, or over max_connections
+///   responses            every completion of a parsed request, also one
+///                        dropped because its connection closed first
+///                        (so after Stop(), responses == requests), plus
+///                        kBadRequest and admin answers
 ///   rejections           kRejected + kShedded responses, split into
 ///                        rejections_policy (the admission policy said
 ///                        no) and rejections_queue (shed on a full
@@ -52,12 +48,11 @@ bool ParseNetBackend(const std::string& text, NetBackend* out);
 ///                        (broker-queue sheds)
 ///   admin_requests       admin opcodes served
 ///   nodelay_failures     TCP_NODELAY not verified on an accepted socket
-///   syscalls             data-path syscalls: waits, readv/sendmsg/
-///                        accept4, epoll_ctl, io_uring_enter, eventfd
-///                        reads and writes. Divided by `responses` this
-///                        is the per-request syscall cost the backends
-///                        compete on.
-///   wakeups              blocking-wait returns (epoll/io_uring)
+///   syscalls             data-path syscalls: epoll_wait, readv/sendmsg/
+///                        accept4, epoll_ctl, eventfd reads and writes.
+///                        Divided by `responses` this is the per-request
+///                        syscall cost.
+///   wakeups              epoll_wait returns
 ///   eventfd_wakeups      completion-signal write(2)s workers actually
 ///                        issued; pushes that found the loop awake are
 ///                        coalesced away (no syscall)
@@ -98,9 +93,7 @@ bool ParseNetBackend(const std::string& text, NetBackend* out);
 /// the hot path — the zero-allocation, single-writer discipline of the
 /// original single-loop design holds per loop — and all loops stream
 /// their parsed batches into the shared admission stages via
-/// `Cluster::SubmitBatch`. Every loop runs the same skeleton (RunLoop);
-/// the epoll and io_uring transports differ only in how they wait and
-/// dispatch what the wait returned.
+/// `Cluster::SubmitBatch`.
 ///
 /// Completions route back to the owning loop through a 64-bit
 /// generation-stamped connection token:
@@ -157,11 +150,6 @@ class NetServer {
     /// also set, per-tenant outcome counters are published under
     /// "tenant.<external-id>.*".
     TenantRegistry* tenants = nullptr;
-    /// Event-loop backend. kAuto probes io_uring support once per
-    /// process at Start() and falls back to epoll with a logged reason
-    /// (see backend_fallback_reason()); kUring instead fails Start()
-    /// when the kernel or the build (BOUNCER_IOURING=OFF) lacks it.
-    NetBackend backend = NetBackend::kAuto;
   };
 
   /// Counter snapshot. Counters are accumulated per loop in
@@ -172,8 +160,6 @@ class NetServer {
 #define BOUNCER_NET_STATS_FIELD(name) uint64_t name = 0;
     BOUNCER_NET_COUNTERS(BOUNCER_NET_STATS_FIELD)
 #undef BOUNCER_NET_STATS_FIELD
-    /// Backend that produced these counters (resolved, never kAuto).
-    NetBackend backend = NetBackend::kEpoll;
   };
 
   /// `cluster` must be started, and must outlive the server. Shutdown
@@ -200,17 +186,8 @@ class NetServer {
   /// Event loops actually running (valid after Start()).
   size_t num_loops() const { return loops_.size(); }
   const Options& options() const { return options_; }
-  /// The backend actually running (resolved at Start(); never kAuto
-  /// afterwards).
-  NetBackend backend() const { return backend_; }
-  /// Why Options::backend = kAuto degraded to epoll; empty when it did
-  /// not.
-  const std::string& backend_fallback_reason() const {
-    return backend_fallback_reason_;
-  }
-  /// Cached process-wide kernel/build capability probe for the io_uring
-  /// backend; fills `reason` when unsupported.
-  static bool UringSupported(std::string* reason = nullptr);
+  /// Names the transport in reports.
+  NetBackend backend() const { return NetBackend::kEpoll; }
 
   /// Per-tenant outcome counters (Options::tenants required; zeros
   /// otherwise). `tenant` is the dense registry index.
@@ -247,40 +224,36 @@ class NetServer {
 #undef BOUNCER_NET_LOOP_COUNTER
   };
 
-  /// A loop thread's body: the one event-loop skeleton both transports
-  /// share (pre-wait handshake, wait timeout, wakeup accounting and the
-  /// submit/complete/flush phases), calling into the transport only to
-  /// wait and dispatch.
+  /// A loop thread's body: wait, dispatch, then the submit/complete/
+  /// flush phases.
   void RunLoop(Loop& loop);
-  /// Clears the pre-wait handshake and counts the wakeup; each
-  /// transport calls it right after its blocking syscall returns.
-  void WaitReturned(Loop& loop);
-  /// The shared accept path. Accepted() enforces max_connections and
-  /// adopts `fd` into the loop's slot table; AcceptFailed() returns true
-  /// when `err` means the fd table (or kernel memory) is exhausted, after
-  /// scheduling a retry: the transport stops polling its listener until
-  /// then, so a full table cannot spin the loop.
+  /// One epoll_wait (with the pre-wait handshake already done) and the
+  /// dispatch of what it returned.
+  void WaitAndDispatch(Loop& loop, Nanos timeout);
+  /// Accepts every pending connection. When accept fails for want of fds
+  /// or memory, stops polling the listener until a retry time, so a full
+  /// fd table cannot spin the loop.
+  void AcceptReady(Loop& loop);
+  /// Enforces max_connections and adopts `fd` into the loop's slot table.
   void Accepted(Loop& loop, int fd);
-  bool AcceptFailed(Loop& loop, int err);
+  /// Sets the listener's registered events (EPOLLIN, or 0 while accept
+  /// is backed off).
+  void WatchListener(Loop& loop, uint32_t events);
   void ReadConn(Loop& loop, Connection* conn);
   void ParseConn(Loop& loop, Connection* conn);
   void SubmitParsed(Loop& loop);
+  /// Counts one completion in `loop`'s response counters, also when its
+  /// connection is gone and the answer is dropped.
+  ResponseStatus CountResponse(Loop& loop, const Done& done);
   void DeliverDone(Loop& loop, const Done& done);
   void DrainCompletions(Loop& loop);
   void FlushConn(Loop& loop, Connection* conn);
-  /// The tx ring just drained: resumes a read the write-ring gate
-  /// paused and closes a half-closed connection that owes nothing.
-  /// Returns false when the connection is gone.
-  bool TxDrained(Loop& loop, Connection* conn);
-  /// Peer EOF: answer what is owed, flush, then close.
-  void PeerClosed(Loop& loop, Connection* conn);
   /// Closes a half-closed connection once nothing is owed or unsent.
   void CloseIfDone(Loop& loop, Connection* conn);
   void CloseConn(Loop& loop, Connection* conn);
   void PauseRead(Loop& loop, Connection* conn);
   void ResumeRead(Loop& loop, Connection* conn);
-  /// Reconciles `conn`'s registered read/write interest with its state
-  /// (epoll_ctl, or UringUpdateInterest on io_uring).
+  /// Reconciles `conn`'s registered read/write interest with its state.
   void UpdateInterest(Loop& loop, Connection* conn);
   void MaybeResumePaused(Loop& loop);
   bool BrokersCongested() const;
@@ -303,47 +276,11 @@ class NetServer {
   Status StartListeners();
   void CloseAll();
 
-  // epoll transport (net_server.cc; ReadConn, FlushConn and
-  // UpdateInterest hand off to their io_uring twins first thing).
-  void EpollWaitAndDispatch(Loop& loop, Nanos timeout);
-  void EpollAcceptReady(Loop& loop);
-  /// Sets the listener's registered events (EPOLLIN, or 0 while accept
-  /// is backed off).
-  void EpollWatchListener(Loop& loop, uint32_t events);
-
-  // io_uring transport (net_server_uring.cc; no-op stubs when the build
-  // compiles it out).
-  bool UringSetupLoops();  ///< Rings per loop; false => fallback/fail.
-  void UringDestroyLoop(Loop& loop);
-  /// Re-arms the multishot accept/eventfd poll and ENOBUFS-starved
-  /// recvs, submits every SQE the iteration prepared in the same
-  /// io_uring_enter that waits, then dispatches the CQEs.
-  void UringWaitAndDispatch(Loop& loop, Nanos timeout);
-  void UringOnAccept(Loop& loop, int res, uint32_t flags);
-  void UringOnRecv(Loop& loop, uint64_t user_data, int res, uint32_t flags);
-  void UringOnSend(Loop& loop, uint64_t user_data, int res);
-  void UringArmRecv(Loop& loop, Connection* conn);
-  /// The uring analogue of UpdateInterest: reconciles want_read with the
-  /// armed multishot recv (arming or async-canceling as needed).
-  void UringUpdateInterest(Loop& loop, Connection* conn);
-  /// Drains staged recv buffers into rx, parses, and re-arms.
-  void UringPumpConn(Loop& loop, Connection* conn);
-  void UringFlushConn(Loop& loop, Connection* conn);
-  /// Cancels outstanding SQEs before CloseConn closes the fd; the slot
-  /// stays a zombie (not reusable) until they all complete.
-  void UringPrepareClose(Loop& loop, Connection* conn);
-  void UringRearmPending(Loop& loop);
-  /// One CQE landed for `conn`'s slot: drop the inflight count and, when
-  /// a zombie slot drains to zero, recycle it.
-  void UringDecInflight(Loop& loop, Connection* conn);
-
   graph::Cluster* cluster_;
   Options options_;
 
   std::vector<std::unique_ptr<Loop>> loops_;
   uint16_t port_ = 0;
-  NetBackend backend_ = NetBackend::kEpoll;  ///< Resolved at Start().
-  std::string backend_fallback_reason_;
   /// Live connections across all loops (accept-path only — the data
   /// path never touches it).
   std::atomic<size_t> total_live_{0};

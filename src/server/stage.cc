@@ -1,9 +1,11 @@
 #include "src/server/stage.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/core/policy_factory.h"
+#include "src/util/thread_name.h"
 
 namespace bouncer::server {
 
@@ -171,6 +173,7 @@ Status Stage::Start() {
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
+    SetThreadName(workers_.back(), options_.name + "-w" + std::to_string(i));
   }
   return Status::OK();
 }

@@ -1,12 +1,29 @@
 #include "src/stats/dual_histogram.h"
 
+#include <thread>
+
 namespace bouncer::stats {
 
 DualHistogram::DualHistogram(const Options& options)
-    : options_(options), active_(0), next_swap_(0), swap_count_(0) {}
+    : options_(options),
+      entered_{0, 0},
+      active_(0),
+      next_swap_(0),
+      swap_count_(0) {}
 
 void DualHistogram::Record(Nanos value) {
-  buffers_[active_.load(std::memory_order_acquire)].Record(value);
+  for (;;) {
+    const int b = active_.load(std::memory_order_seq_cst);
+    entered_[b].fetch_add(1, std::memory_order_seq_cst);
+    // Dekker pair with DoSwap (store active_; load entered_): either this
+    // re-check sees the flip and backs out, or the swap counts this
+    // writer and waits for its bucket increment.
+    if (active_.load(std::memory_order_seq_cst) == b) {
+      buffers_[b].Record(value);
+      return;
+    }
+    entered_[b].fetch_sub(1, std::memory_order_seq_cst);
+  }
 }
 
 bool DualHistogram::MaybeSwap(Nanos now) {
@@ -39,12 +56,21 @@ void DualHistogram::DoSwap() {
   const int old = active_.load(std::memory_order_acquire);
   const int fresh = 1 - old;
   // The `fresh` buffer was reset at the end of the previous swap.
-  active_.store(fresh, std::memory_order_release);
-  const HistogramSummary s = buffers_[old].MakeSummary();
+  active_.store(fresh, std::memory_order_seq_cst);
+  // Writers that saw `old` still active finish first; later ones back
+  // out and retry on `fresh`, so the count only overshoots briefly.
+  uint64_t entered;
+  while ((entered = entered_[old].load(std::memory_order_seq_cst)) !=
+         buffers_[old].Count()) {
+    std::this_thread::yield();
+  }
+  const HistogramSummary s = buffers_[old].MakeSummary(entered);
   if (s.count >= options_.min_samples_to_publish) {
     PublishSummary(s);
   }
   buffers_[old].Reset();
+  // Not a store of 0: a writer backing out may still owe its decrement.
+  entered_[old].fetch_sub(entered, std::memory_order_relaxed);
   swap_count_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -38,7 +38,8 @@ class DualHistogram {
   DualHistogram& operator=(const DualHistogram&) = delete;
 
   /// Records one sample into the buffer currently being populated.
-  /// Thread-safe, wait-free.
+  /// Thread-safe and lock-free; retries only when a swap flips the buffer
+  /// between its two loads of the active index.
   void Record(Nanos value);
 
   /// Swaps buffers if `now` has passed the end of the current interval.
@@ -79,6 +80,12 @@ class DualHistogram {
   // Swaps are rare; readers and Record() never take it.
   std::mutex swap_mu_;
   Histogram buffers_[2];
+  /// Record() calls that entered each buffer since its last reset. A
+  /// swap waits until the retiring buffer's bucket total catches up with
+  /// this count before it summarises and resets the buffer, so no sample
+  /// is split across the reset (its sum in one window, its bucket in the
+  /// next).
+  std::atomic<uint64_t> entered_[2];
   std::atomic<int> active_;
   std::atomic<Nanos> next_swap_;
   std::atomic<uint64_t> swap_count_;

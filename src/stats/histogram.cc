@@ -5,7 +5,7 @@
 
 namespace bouncer::stats {
 
-Histogram::Histogram() : buckets_(kBucketCount), count_(0), sum_(0) {
+Histogram::Histogram() : buckets_(kBucketCount), sum_(0) {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
@@ -37,19 +37,24 @@ Nanos Histogram::BucketMidpoint(int index) {
 void Histogram::Record(Nanos value) {
   if (value < 0) value = 0;
   if (value > kMaxValue) value = kMaxValue;
-  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
+  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_release);
+}
+
+uint64_t Histogram::Count() const {
+  uint64_t n = 0;
+  for (const auto& b : buckets_) n += b.load(std::memory_order_acquire);
+  return n;
 }
 
 Nanos Histogram::Mean() const {
-  const uint64_t n = count_.load(std::memory_order_relaxed);
+  const uint64_t n = Count();
   if (n == 0) return 0;
   return sum_.load(std::memory_order_relaxed) / static_cast<int64_t>(n);
 }
 
 Nanos Histogram::Percentile(double q) const {
-  const uint64_t n = count_.load(std::memory_order_relaxed);
+  const uint64_t n = Count();
   if (n == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   const auto target = static_cast<uint64_t>(
@@ -62,9 +67,9 @@ Nanos Histogram::Percentile(double q) const {
   return kMaxValue;
 }
 
-HistogramSummary Histogram::MakeSummary() const {
+HistogramSummary Histogram::MakeSummary(uint64_t count) const {
   HistogramSummary s;
-  s.count = count_.load(std::memory_order_relaxed);
+  s.count = count;
   if (s.count == 0) return s;
   s.mean = sum_.load(std::memory_order_relaxed) /
            static_cast<int64_t>(s.count);
@@ -101,7 +106,6 @@ HistogramSummary Histogram::MakeSummary() const {
 
 void Histogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
 }
 

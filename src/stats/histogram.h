@@ -26,11 +26,12 @@ struct HistogramSummary {
 /// Buckets are HdrHistogram-style: exact for values < 2^kSubBits, then
 /// geometric octaves each split into 2^kSubBits sub-buckets, giving a
 /// bounded ~3% relative error — far below the estimate error Bouncer
-/// already tolerates (paper §3 trades accuracy for speed). Record() is a
-/// single relaxed atomic increment plus an add, safe from any number of
-/// threads. Aggregate reads (Mean / Percentile / MakeSummary) are
-/// approximate under concurrent writes; Bouncer only reads them at
-/// dual-buffer swap time when the buffer is quiescent.
+/// already tolerates (paper §3 trades accuracy for speed). Record() is an
+/// atomic add to the sum plus one bucket increment, safe from any number
+/// of threads; the sample count is the bucket total. Aggregate reads
+/// (Mean / Percentile / MakeSummary) are approximate under concurrent
+/// writes; Bouncer only reads them at dual-buffer swap time when the
+/// buffer is quiescent.
 class Histogram {
  public:
   /// Sub-bucket resolution: 2^kSubBits sub-buckets per octave.
@@ -48,11 +49,13 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   /// Records one sample. Negative values clamp to 0, values above
-  /// kMaxValue clamp to kMaxValue. Thread-safe, wait-free.
+  /// kMaxValue clamp to kMaxValue. Thread-safe, wait-free. The bucket
+  /// increment comes last, with release order: a reader that sees it
+  /// (Count() loads with acquire) also sees the sample in the sum.
   void Record(Nanos value);
 
-  /// Number of samples recorded.
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
+  /// Number of samples recorded: a pass over the buckets.
+  uint64_t Count() const;
 
   /// Mean of recorded samples (0 when empty). Exact (uses the true sum,
   /// not bucket midpoints).
@@ -61,8 +64,11 @@ class Histogram {
   /// Approximate q-quantile, q in [0, 1]; returns 0 when empty.
   Nanos Percentile(double q) const;
 
-  /// Extracts count/mean/p50/p90/p99 in a single bucket pass.
-  HistogramSummary MakeSummary() const;
+  /// Extracts count/mean/p50/p90/p99: Count(), then one bucket pass.
+  HistogramSummary MakeSummary() const { return MakeSummary(Count()); }
+  /// The same for a caller that already knows the count (the dual
+  /// buffer's swap), in the one bucket pass.
+  HistogramSummary MakeSummary(uint64_t count) const;
 
   /// Clears all buckets. Not linearizable against concurrent Record();
   /// callers must quiesce writers first (the dual-buffer does).
@@ -77,7 +83,6 @@ class Histogram {
 
  private:
   std::vector<std::atomic<uint64_t>> buckets_;
-  std::atomic<uint64_t> count_;
   std::atomic<int64_t> sum_;
 };
 

@@ -1,10 +1,7 @@
 // Admin-endpoint and rejection-reason tests: kStatsSnapshot (JSON),
 // Prometheus text and kTraceDump fetched from a loaded NetServer via the
 // blocking admin client, plus the per-reason rejection counters the
-// response flags byte carries back to NetClient. The suite runs once per
-// event-loop backend (io_uring cases skip with the probe's reason where
-// unsupported) and checks the snapshot's net.backend_io_uring gauge
-// reports the backend that served it.
+// response flags byte carries back to NetClient.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +18,6 @@
 #include "src/net/net_server.h"
 #include "src/stats/flight_recorder.h"
 #include "src/stats/metric_registry.h"
-#include "tests/net/backend_test_util.h"
 
 namespace bouncer::net {
 namespace {
@@ -41,7 +37,7 @@ GraphStore MakeGraph() {
 /// registry shared by cluster and server, and a flight recorder tracing
 /// every request (period 1).
 struct AdminHarness {
-  explicit AdminHarness(NetBackend backend, bool rejecting)
+  explicit AdminHarness(bool rejecting)
       : graph(MakeGraph()),
         registry(Cluster::MakeRegistry(Slo{kSecond, 2 * kSecond, 0})) {
     stats::FlightRecorder::Options trace_options;
@@ -71,12 +67,10 @@ struct AdminHarness {
     EXPECT_TRUE(cluster->Start().ok());
 
     NetServer::Options server_options;
-    server_options.backend = backend;
     server_options.metrics = &metrics;
     server_options.recorder = &recorder;
     server = std::make_unique<NetServer>(cluster.get(), server_options);
     EXPECT_TRUE(server->Start().ok());
-    EXPECT_EQ(server->backend(), backend);
   }
 
   ~AdminHarness() {
@@ -126,16 +120,8 @@ uint64_t NumberAfter(const std::string& text, const std::string& key) {
   return std::strtoull(text.c_str() + pos + key.size(), nullptr, 10);
 }
 
-class NetAdminTest : public ::testing::TestWithParam<NetBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, NetAdminTest,
-                         ::testing::Values(NetBackend::kEpoll,
-                                           NetBackend::kUring),
-                         BackendParamName);
-
-TEST_P(NetAdminTest, SnapshotsRoundTripUnderLoad) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
-  AdminHarness harness(GetParam(), /*rejecting=*/false);
+TEST(NetAdminTest, SnapshotsRoundTripUnderLoad) {
+  AdminHarness harness(/*rejecting=*/false);
   auto client = harness.MakeLoadClient(8, 16);
   client->StartClosedLoop();
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
@@ -160,10 +146,6 @@ TEST_P(NetAdminTest, SnapshotsRoundTripUnderLoad) {
   EXPECT_GT(err_count, 0u);
   // The admin request that produced this snapshot counted itself.
   EXPECT_GT(NumberAfter(json, "\"net.admin_requests\":"), 0u);
-  // The backend gauge names the event loop that served this fetch.
-  ASSERT_NE(json.find("\"net.backend_io_uring\":"), std::string::npos);
-  EXPECT_EQ(NumberAfter(json, "\"net.backend_io_uring\":"),
-            GetParam() == NetBackend::kUring ? 1u : 0u);
 
   // Prometheus exposition of the same counters.
   EXPECT_NE(prom.find("# TYPE bouncer_net_requests counter"),
@@ -178,9 +160,8 @@ TEST_P(NetAdminTest, SnapshotsRoundTripUnderLoad) {
   EXPECT_NE(trace.find("\"kind\":\"response_write\""), std::string::npos);
 }
 
-TEST_P(NetAdminTest, AdminOnQuiescentServerAndUnknownKindsRefused) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
-  AdminHarness harness(GetParam(), /*rejecting=*/false);
+TEST(NetAdminTest, AdminOnQuiescentServerAndUnknownKindsRefused) {
+  AdminHarness harness(/*rejecting=*/false);
   const std::string json = harness.Fetch(kOpStatsJson);
   EXPECT_EQ(json.rfind("{\"counters\":{", 0), 0u);  // Valid JSON shape.
   AdminFetch fetch;
@@ -190,9 +171,8 @@ TEST_P(NetAdminTest, AdminOnQuiescentServerAndUnknownKindsRefused) {
   EXPECT_FALSE(FetchAdmin(fetch, &payload).ok());
 }
 
-TEST_P(NetAdminTest, RejectionReasonsReachTheClient) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
-  AdminHarness harness(GetParam(), /*rejecting=*/true);
+TEST(NetAdminTest, RejectionReasonsReachTheClient) {
+  AdminHarness harness(/*rejecting=*/true);
   auto client = harness.MakeLoadClient(4, 8);
   client->StartClosedLoop();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));

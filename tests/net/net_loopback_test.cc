@@ -3,11 +3,7 @@
 // network front-end (ctest runs it on every push): ~1k queries per mode,
 // every one answered, degree answers checked against the graph, and
 // rejection status codes verified against a rejecting admission policy.
-// The whole suite runs once per event-loop backend (epoll / io_uring;
-// io_uring cases skip with the probe's reason where unsupported), plus a
-// mixed-backend interop case with both server backends sharing one
-// cluster. The "NetLoopback" suite name keeps it inside the TSan job's
-// regex.
+// The "NetLoopback" suite name keeps it inside the TSan job's regex.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -32,7 +28,6 @@
 #include "src/net/net_server.h"
 #include "src/stats/metric_registry.h"
 #include "src/util/rng.h"
-#include "tests/net/backend_test_util.h"
 
 namespace bouncer::net {
 namespace {
@@ -68,14 +63,13 @@ Cluster::Options SmallCluster(bool rejecting) {
 }
 
 struct LoopbackHarness {
-  explicit LoopbackHarness(NetBackend backend, bool rejecting = false)
+  explicit LoopbackHarness(bool rejecting = false)
       : graph(MakeGraph()),
         registry(Cluster::MakeRegistry(Slo{kSecond, 2 * kSecond, 0})),
         cluster(&graph, &registry, SystemClock::Global(),
                 SmallCluster(rejecting)) {
     EXPECT_TRUE(cluster.Start().ok());
     NetServer::Options server_options;
-    server_options.backend = backend;
     // Every loopback test runs with the tenant dimension wired in: v1
     // traffic lands on the default tenant, so the single-tenant cases
     // double as wire-compat coverage.
@@ -83,7 +77,6 @@ struct LoopbackHarness {
     server_options.metrics = &metrics;
     server = std::make_unique<NetServer>(&cluster, server_options);
     EXPECT_TRUE(server->Start().ok());
-    EXPECT_EQ(server->backend(), backend);
   }
 
   ~LoopbackHarness() {
@@ -235,16 +228,8 @@ void ExpectServed(int fd, uint64_t id) {
   EXPECT_EQ(response.status, ResponseStatus::kOk);
 }
 
-class NetLoopbackTest : public ::testing::TestWithParam<NetBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, NetLoopbackTest,
-                         ::testing::Values(NetBackend::kEpoll,
-                                           NetBackend::kUring),
-                         BackendParamName);
-
-TEST_P(NetLoopbackTest, BatchedModeAnswersEveryQuery) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
-  LoopbackHarness harness(GetParam());
+TEST(NetLoopbackTest, BatchedModeAnswersEveryQuery) {
+  LoopbackHarness harness;
   RunDegreeCheck(harness);
   // Batch mode must actually batch: fewer admission episodes than
   // requests (each episode covers a whole wakeup's parse).
@@ -253,12 +238,11 @@ TEST_P(NetLoopbackTest, BatchedModeAnswersEveryQuery) {
   EXPECT_LE(stats.submit_batches, stats.requests);
 }
 
-TEST_P(NetLoopbackTest, DegreeAnswersMatchGraph) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetLoopbackTest, DegreeAnswersMatchGraph) {
   // A raw blocking socket, one request at a time: every kOk value must
   // equal the graph's actual degree of the queried vertex, and the id
   // must echo back verbatim.
-  LoopbackHarness harness(GetParam());
+  LoopbackHarness harness;
   const uint32_t num_vertices = harness.graph.num_vertices();
 
   const int fd = ConnectLoopback(harness.server->port());
@@ -294,12 +278,11 @@ TEST_P(NetLoopbackTest, DegreeAnswersMatchGraph) {
   ::close(fd);
 }
 
-TEST_P(NetLoopbackTest, TenantIdsThreadEndToEnd) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetLoopbackTest, TenantIdsThreadEndToEnd) {
   // v2 frames carry external tenant ids; the server interns them and
   // charges per-tenant counters. A v1 (36-byte) frame from an old client
   // lands on the default tenant. One blocking socket keeps it exact.
-  LoopbackHarness harness(GetParam());
+  LoopbackHarness harness;
   const uint32_t num_vertices = harness.graph.num_vertices();
 
   const int fd = ConnectLoopback(harness.server->port());
@@ -361,12 +344,11 @@ TEST_P(NetLoopbackTest, TenantIdsThreadEndToEnd) {
   EXPECT_NE(json.find("\"tenant.count\":3"), std::string::npos) << json;
 }
 
-TEST_P(NetLoopbackTest, RejectionCodesReachTheClient) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetLoopbackTest, RejectionCodesReachTheClient) {
   // Zero-length broker queue: with 8 connections x 8 in flight, most
   // queries must come back kRejected — synchronously, from the event
   // loop — while some still complete.
-  LoopbackHarness harness(GetParam(), /*rejecting=*/true);
+  LoopbackHarness harness(/*rejecting=*/true);
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/8, /*in_flight=*/8),
       [](size_t conn_index, uint64_t seq) {
@@ -399,11 +381,10 @@ TEST_P(NetLoopbackTest, RejectionCodesReachTheClient) {
             counters.rejected + counters.shedded);
 }
 
-TEST_P(NetLoopbackTest, ManyShortLivedConnections) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetLoopbackTest, ManyShortLivedConnections) {
   // Slot recycling: connections come and go; the server must keep
   // serving and release every slot (accepted == closed at the end).
-  LoopbackHarness harness(GetParam());
+  LoopbackHarness harness;
   for (int round = 0; round < 5; ++round) {
     NetClient client(
         ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/4),
@@ -439,13 +420,12 @@ TEST_P(NetLoopbackTest, ManyShortLivedConnections) {
   EXPECT_EQ(stats.connections_closed, 20u);
 }
 
-TEST_P(NetLoopbackTest, NodelaySetAndVerifiedOnAcceptedSockets) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetLoopbackTest, NodelaySetAndVerifiedOnAcceptedSockets) {
   // The server sets TCP_NODELAY on every accepted socket and reads it
   // back with getsockopt at accept time; a failed verification bumps
   // nodelay_failures. Small length-prefixed frames must never sit in a
   // Nagle buffer waiting for an ACK.
-  LoopbackHarness harness(GetParam());
+  LoopbackHarness harness;
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/2),
       [](size_t, uint64_t seq) {
@@ -472,8 +452,7 @@ TEST_P(NetLoopbackTest, NodelaySetAndVerifiedOnAcceptedSockets) {
       << "an accepted socket is running without TCP_NODELAY";
 }
 
-TEST_P(NetLoopbackTest, PeerResetWithResponsesOwedKeepsServerUp) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetLoopbackTest, PeerResetWithResponsesOwedKeepsServerUp) {
   // A raw socket pipelines 1k requests of every op and resets the
   // connection (SO_LINGER {1, 0}) without reading the responses, so the
   // server writes owed responses to a socket the peer has reset. Those
@@ -482,7 +461,7 @@ TEST_P(NetLoopbackTest, PeerResetWithResponsesOwedKeepsServerUp) {
   // first and wait for one response before the reset: the server then
   // sits in CLOSE_WAIT still answering, and its very next write after
   // the reset is the one that raises SIGPIPE without MSG_NOSIGNAL.
-  LoopbackHarness harness(GetParam());
+  LoopbackHarness harness;
   constexpr int kRequests = 1000;
   std::vector<uint8_t> burst(kRequests * kRequestFrameBytes);
   size_t burst_bytes = 0;
@@ -526,15 +505,13 @@ TEST_P(NetLoopbackTest, PeerResetWithResponsesOwedKeepsServerUp) {
   RunDegreeCheck(harness);
 }
 
-TEST_P(NetLoopbackTest, FdExhaustionDoesNotSpinTheLoop) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetLoopbackTest, FdExhaustionDoesNotSpinTheLoop) {
   // With the process fd table full every accept fails, while the pending
   // connection keeps the listener readable. The loop must back off
   // instead of polling the listener again at once, and must accept and
   // answer the connection once fds free up. RLIMIT_NOFILE is
   // process-wide, which is safe here: each test case runs in its own
-  // process. It is lowered before the server starts so that it binds the
-  // io_uring accept too, which reads the limit when its SQE is prepared.
+  // process.
   rlimit saved{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
   const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
@@ -545,7 +522,7 @@ TEST_P(NetLoopbackTest, FdExhaustionDoesNotSpinTheLoop) {
   ASSERT_LE(tight.rlim_cur, saved.rlim_max);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
 
-  LoopbackHarness harness(GetParam());
+  LoopbackHarness harness;
   // One query served first also warms UBSan's type-check cache for the
   // server's clock reads: its slow path needs a pipe, i.e. free fds.
   const int warm = ConnectLoopback(harness.server->port());
@@ -588,6 +565,168 @@ TEST_P(NetLoopbackTest, FdExhaustionDoesNotSpinTheLoop) {
   ExpectServed(client, 0xacce97);
   EXPECT_EQ(harness.server->AggregateStats().connections_accepted, 2u);
   ::close(client);
+}
+
+/// Stops `server` and returns how long Stop() took.
+std::chrono::milliseconds TimedStop(NetServer& server) {
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+}
+
+/// Bound on NetServer::Stop() with hostile peers still connected: the
+/// loops wake within their 100 ms wait timeout, and the in-flight
+/// queries finish on the cluster's workers.
+constexpr std::chrono::milliseconds kStopBound{5000};
+
+TEST(NetLoopbackTest, SlowReaderFillsItsTxRingWithoutStallingOthers) {
+  // A client pipelines requests and never reads its responses: its
+  // receive window closes, the server's socket buffer and tx ring fill,
+  // and the write-ring gate pauses reading that one connection. The
+  // other connections must stay served, Stop() must return promptly with
+  // the slow reader still connected, and every parsed request must be
+  // accounted for.
+  LoopbackHarness harness;
+  const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(slow, 0);
+  const int small = 4096;  // Closes the window after a few responses.
+  ::setsockopt(slow, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(harness.server->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(slow, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::fcntl(slow, F_SETFL, ::fcntl(slow, F_GETFL) | O_NONBLOCK), 0);
+
+  // Pipeline until the write-ring gate pauses the connection. The send
+  // side stalls at times before that (the inflight cap pauses reading
+  // while the cluster catches up), so the loop waits on the counter, not
+  // on the socket.
+  RequestFrame request;
+  request.op = static_cast<uint8_t>(GraphOp::kDegree);
+  request.source = 17;
+  uint8_t frame[kRequestFrameBytes];
+  const size_t frame_bytes = EncodeRequest(request, frame);
+  std::vector<uint8_t> burst;
+  for (int i = 0; i < 64; ++i) {
+    burst.insert(burst.end(), frame, frame + frame_bytes);
+  }
+  size_t offset = 0;  // Sent bytes of the current burst.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (harness.server->AggregateStats().pauses_tx == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::send(slow, burst.data() + offset,
+                             burst.size() - offset, MSG_NOSIGNAL);
+    if (n > 0) {
+      offset = (offset + static_cast<size_t>(n)) % burst.size();
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  const NetServer::Stats stalled = harness.server->AggregateStats();
+  EXPECT_GE(stalled.pauses_tx, 1u) << "the tx ring never filled";
+  EXPECT_GT(stalled.requests, 0u);
+
+  // Other connections are served while the slow reader stays stalled.
+  RunDegreeCheck(harness);
+
+  EXPECT_LE(TimedStop(*harness.server), kStopBound);
+  ::close(slow);
+  // Every parsed request completed and was counted once: answered,
+  // rejected, or dropped with its connection at close (`responses`
+  // counts all three; there were no bad frames or admin requests).
+  const NetServer::Stats stats = harness.server->AggregateStats();
+  EXPECT_EQ(stats.responses, stats.requests);
+  EXPECT_EQ(stats.rejections, 0u);  // AlwaysAccept.
+  EXPECT_EQ(stats.bad_frames, 0u);
+}
+
+TEST(NetLoopbackTest, HalfCloseWithResponsesOwedIsAnsweredInFull) {
+  // A client pipelines more requests than the per-connection inflight
+  // cap, half-closes (SHUT_WR) at once and only then reads. The server
+  // must parse every request it received before the FIN, answer each
+  // exactly once, and close the connection once nothing is owed, while
+  // a second client is served concurrently.
+  LoopbackHarness harness;
+  NetClient other(
+      ClientOptions(harness.server->port(), /*conns=*/2, /*in_flight=*/4),
+      [](size_t conn_index, uint64_t seq) {
+        RequestFrame frame;
+        frame.op = static_cast<uint8_t>(GraphOp::kDegree);
+        frame.source = static_cast<uint32_t>((conn_index + seq) % 2000);
+        return frame;
+      });
+  ASSERT_TRUE(other.Start().ok());
+  other.StartClosedLoop();
+
+  constexpr int kRequests = 3000;
+  std::vector<uint8_t> burst(kRequests * kRequestFrameBytes);
+  size_t burst_bytes = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    RequestFrame request;
+    request.id = 0x4a1f0000u + static_cast<uint64_t>(i);
+    request.op = static_cast<uint8_t>(i % graph::kNumGraphOps);
+    request.source = static_cast<uint32_t>(i % 2000);
+    request.target = static_cast<uint32_t>((i * 7) % 2000);
+    burst_bytes += EncodeRequest(request, burst.data() + burst_bytes);
+  }
+  const int fd = ConnectLoopback(harness.server->port());
+  ASSERT_GE(fd, 0);
+  SetRecvTimeout(fd, 20);
+  // A writer thread: the server stops reading at the inflight cap until
+  // responses drain, so one blocking send could stall before the
+  // reads below begin.
+  std::thread writer([&] {
+    EXPECT_EQ(::send(fd, burst.data(), burst_bytes, MSG_NOSIGNAL),
+              static_cast<ssize_t>(burst_bytes));
+    EXPECT_EQ(::shutdown(fd, SHUT_WR), 0);
+  });
+  std::vector<int> answered(kRequests, 0);
+  ResponseFrame response;
+  bool more = false;
+  int got = 0;
+  ReadResult result;
+  while ((result = ReadResponse(fd, &response, &more)) == ReadResult::kOk) {
+    const uint64_t index = response.id - 0x4a1f0000u;
+    ASSERT_LT(index, static_cast<uint64_t>(kRequests));
+    ++answered[index];
+    ++got;
+  }
+  writer.join();
+  EXPECT_EQ(result, ReadResult::kClosed) << "server never closed its end";
+  EXPECT_EQ(got, kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(answered[i], 1) << "request " << i;
+  }
+  ::close(fd);
+  // The server counts the close just after the close(2) the client saw.
+  const auto closed_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (harness.server->AggregateStats().connections_closed == 0 &&
+         std::chrono::steady_clock::now() < closed_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const NetServer::Stats paused = harness.server->AggregateStats();
+  EXPECT_GE(paused.pauses_inflight, 1u) << "the inflight cap never engaged";
+  EXPECT_EQ(paused.connections_closed, 1u);
+
+  other.StopSending();
+  ASSERT_TRUE(other.WaitForDrain(10 * kSecond));
+  const auto counters = other.counters();
+  EXPECT_EQ(counters.conn_errors, 0u);
+  EXPECT_GT(counters.ok, 0u);
+  EXPECT_EQ(counters.responses, counters.queued);
+
+  EXPECT_LE(TimedStop(*harness.server), kStopBound);
+  other.Stop();
+  const NetServer::Stats stats = harness.server->AggregateStats();
+  EXPECT_EQ(stats.responses, stats.requests);
+  EXPECT_EQ(stats.requests, counters.queued + kRequests);
+  EXPECT_EQ(stats.rejections, 0u);  // AlwaysAccept.
 }
 
 /// Which answer a hostile frame must get.
@@ -719,14 +858,13 @@ bool SendSplit(int fd, const std::vector<uint8_t>& bytes, Rng& rng) {
   return true;
 }
 
-TEST_P(NetLoopbackTest, HostileFramesNeverWedgeTheServer) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetLoopbackTest, HostileFramesNeverWedgeTheServer) {
   // Seeded mutation fuzzing with a fixed budget: v1, v2 and admin
   // frames with flipped bytes, zero and oversized length prefixes,
   // unknown ops and flags, frames truncated then closed or reset, all
   // written in pieces cut at random offsets — while a well-behaved
   // client keeps running against the same server.
-  LoopbackHarness harness(GetParam());
+  LoopbackHarness harness;
   NetClient good(
       ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/4),
       [](size_t conn_index, uint64_t seq) {
@@ -862,12 +1000,11 @@ TEST_P(NetLoopbackTest, HostileFramesNeverWedgeTheServer) {
   harness.server->Stop();  // Returns with every hostile connection gone.
 }
 
-TEST_P(NetLoopbackTest, OpenLoopLatencyCountsFromScheduledDeparture) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetLoopbackTest, OpenLoopLatencyCountsFromScheduledDeparture) {
   // Coordinated-omission correction: a request due 50 ms ago (the
   // generator fell behind, or it sat in the local queue) reports at
   // least those 50 ms, however fast the server answers it now.
-  LoopbackHarness harness(GetParam());
+  LoopbackHarness harness;
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/1, /*in_flight=*/1),
       [](size_t, uint64_t) { return RequestFrame{}; });
@@ -882,71 +1019,6 @@ TEST_P(NetLoopbackTest, OpenLoopLatencyCountsFromScheduledDeparture) {
   ASSERT_EQ(latency.count, 1u);
   // The mean of one sample is that sample, exactly.
   EXPECT_GE(latency.mean, 50 * kMillisecond);
-}
-
-TEST(NetLoopbackInteropTest, MixedBackendServersShareOneCluster) {
-  // Interop: an epoll server and an io_uring server front the same
-  // Cluster on different ports, each driven by its own client
-  // concurrently. Worker completions for both route through the same
-  // done rings; every request on both paths must be answered and the
-  // two servers' stats must stay independent.
-  std::string reason;
-  if (!NetServer::UringSupported(&reason)) {
-    GTEST_SKIP() << "io_uring backend unavailable: " << reason;
-  }
-  LoopbackHarness harness(NetBackend::kEpoll);
-  NetServer::Options uring_options;
-  uring_options.backend = NetBackend::kUring;
-  NetServer uring_server(&harness.cluster, uring_options);
-  ASSERT_TRUE(uring_server.Start().ok());
-  ASSERT_EQ(uring_server.backend(), NetBackend::kUring);
-
-  const uint32_t num_vertices = harness.graph.num_vertices();
-  const auto sampler = [num_vertices](size_t conn_index, uint64_t seq) {
-    RequestFrame frame;
-    frame.op = static_cast<uint8_t>(GraphOp::kDegree);
-    frame.source = static_cast<uint32_t>(
-        (conn_index * 7919 + seq * 104'729) % num_vertices);
-    return frame;
-  };
-  NetClient epoll_client(
-      ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/4),
-      sampler);
-  NetClient uring_client(
-      ClientOptions(uring_server.port(), /*conns=*/4, /*in_flight=*/4),
-      sampler);
-  ASSERT_TRUE(epoll_client.Start().ok());
-  ASSERT_TRUE(uring_client.Start().ok());
-  epoll_client.StartClosedLoop();
-  uring_client.StartClosedLoop();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while ((epoll_client.counters().queued < 500 ||
-          uring_client.counters().queued < 500) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  epoll_client.StopSending();
-  uring_client.StopSending();
-  ASSERT_TRUE(epoll_client.WaitForDrain(10 * kSecond));
-  ASSERT_TRUE(uring_client.WaitForDrain(10 * kSecond));
-  epoll_client.Stop();
-  uring_client.Stop();
-
-  for (const NetClient* client : {&epoll_client, &uring_client}) {
-    const auto counters = client->counters();
-    EXPECT_EQ(counters.conn_errors, 0u);
-    EXPECT_GE(counters.queued, 500u);
-    EXPECT_EQ(counters.responses, counters.queued);
-    EXPECT_EQ(counters.ok, counters.responses);
-  }
-  const NetServer::Stats epoll_stats = harness.server->AggregateStats();
-  const NetServer::Stats uring_stats = uring_server.AggregateStats();
-  EXPECT_EQ(epoll_stats.backend, NetBackend::kEpoll);
-  EXPECT_EQ(uring_stats.backend, NetBackend::kUring);
-  EXPECT_EQ(epoll_stats.requests, epoll_client.counters().queued);
-  EXPECT_EQ(uring_stats.requests, uring_client.counters().queued);
-  uring_server.Stop();
 }
 
 }  // namespace

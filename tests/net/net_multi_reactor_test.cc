@@ -4,15 +4,17 @@
 // delivered, per-loop stats summing to the aggregate, non-degenerate
 // connection distribution), clean Stop with work still in flight, and a
 // concurrent multi-client stress the TSan job runs (the
-// "NetMultiReactor" suite name keeps it inside the CI regex). The whole
-// suite runs once per event-loop backend; io_uring cases skip with the
-// probe's reason where the kernel lacks support.
+// "NetMultiReactor" suite name keeps it inside the CI regex).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,7 +22,6 @@
 #include "src/graph/graph_generator.h"
 #include "src/net/net_client.h"
 #include "src/net/net_server.h"
-#include "tests/net/backend_test_util.h"
 
 namespace bouncer::net {
 namespace {
@@ -54,19 +55,16 @@ Cluster::Options SmallCluster(bool rejecting) {
 }
 
 struct ReactorHarness {
-  explicit ReactorHarness(NetBackend backend, size_t num_loops,
-                          bool rejecting = false)
+  explicit ReactorHarness(size_t num_loops, bool rejecting = false)
       : graph(MakeGraph()),
         registry(Cluster::MakeRegistry(Slo{kSecond, 2 * kSecond, 0})),
         cluster(&graph, &registry, SystemClock::Global(),
                 SmallCluster(rejecting)) {
     EXPECT_TRUE(cluster.Start().ok());
     NetServer::Options server_options;
-    server_options.backend = backend;
     server_options.num_loops = num_loops;
     server = std::make_unique<NetServer>(&cluster, server_options);
     EXPECT_TRUE(server->Start().ok());
-    EXPECT_EQ(server->backend(), backend);
   }
 
   ~ReactorHarness() {
@@ -120,18 +118,10 @@ NetClient::Counters DriveDegreeLoad(ReactorHarness& harness, size_t conns,
   return client.counters();
 }
 
-class NetMultiReactorTest : public ::testing::TestWithParam<NetBackend> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, NetMultiReactorTest,
-                         ::testing::Values(NetBackend::kEpoll,
-                                           NetBackend::kUring),
-                         BackendParamName);
-
-TEST_P(NetMultiReactorTest, AnswersEveryQueryAtEachLoopCount) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetMultiReactorTest, AnswersEveryQueryAtEachLoopCount) {
   for (const size_t loops : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE(loops);
-    ReactorHarness harness(GetParam(), loops);
+    ReactorHarness harness(loops);
     ASSERT_EQ(harness.server->num_loops(), loops);
     const auto counters = DriveDegreeLoad(harness, /*conns=*/16,
                                           /*in_flight=*/4, /*min=*/1200);
@@ -165,12 +155,11 @@ TEST_P(NetMultiReactorTest, AnswersEveryQueryAtEachLoopCount) {
   }
 }
 
-TEST_P(NetMultiReactorTest, RejectionsDeliveredAcrossLoops) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetMultiReactorTest, RejectionsDeliveredAcrossLoops) {
   // One-deep broker queue: most queries come back kRejected,
   // synchronously from whichever loop submitted them; counts must
   // reconcile across client, aggregate, and per-loop views.
-  ReactorHarness harness(GetParam(), /*num_loops=*/2, /*rejecting=*/true);
+  ReactorHarness harness(/*num_loops=*/2, /*rejecting=*/true);
   const uint32_t num_vertices = harness.graph.num_vertices();
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/8, /*in_flight=*/8),
@@ -206,14 +195,13 @@ TEST_P(NetMultiReactorTest, RejectionsDeliveredAcrossLoops) {
   EXPECT_EQ(per_loop_rejections, total.rejections);
 }
 
-TEST_P(NetMultiReactorTest, CleanStopWithInflightWork) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+TEST(NetMultiReactorTest, CleanStopWithInflightWork) {
   // Stop all four loops while admitted queries are still executing on
   // cluster workers, then stop the cluster (the required order). The
   // workers' completions route to rings whose loops are gone — they must
   // be dropped, not deadlock the shutdown; slow expensive queries keep
   // plenty in flight at the moment of the Stop.
-  ReactorHarness harness(GetParam(), /*num_loops=*/4);
+  ReactorHarness harness(/*num_loops=*/4);
   const uint32_t num_vertices = harness.graph.num_vertices();
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/8, /*in_flight=*/16),
@@ -239,16 +227,48 @@ TEST_P(NetMultiReactorTest, CleanStopWithInflightWork) {
   harness.server->Stop();  // In-flight work outlives the loops.
   harness.cluster.Stop();  // Must not hang on orphaned completions.
   client.Stop();
-  SUCCEED();  // Reaching here without deadlock is the assertion.
+  const NetServer::Stats stats = harness.server->AggregateStats();
+  EXPECT_EQ(stats.responses, stats.requests);
 }
 
-TEST_P(NetMultiReactorTest, ConcurrentClientsAcrossLoopsStress) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+/// The names of this process's threads, from /proc/self/task/*/comm.
+std::vector<std::string> ThreadNames() {
+  std::vector<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(NetMultiReactorTest, ServerThreadsAreNamed) {
+  // Every server thread carries its role in its name, so per-thread CPU
+  // (top -H, /proc/<pid>/task/*/stat) can be attributed without relying
+  // on thread creation order.
+  ReactorHarness harness(/*num_loops=*/2);
+  NetClient client(ClientOptions(harness.server->port(), /*conns=*/2,
+                                 /*in_flight=*/1),
+                   [](size_t, uint64_t) { return RequestFrame{}; });
+  ASSERT_TRUE(client.Start().ok());
+  const std::vector<std::string> names = ThreadNames();
+  client.Stop();
+  // SmallCluster: one broker with two workers, two shards with one each.
+  for (const char* expected :
+       {"net-loop0", "net-loop1", "broker-0-w0", "broker-0-w1", "shard-0-w0",
+        "shard-1-w0", "netcli-io0", "netcli-io1"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
+        << expected;
+  }
+}
+
+TEST(NetMultiReactorTest, ConcurrentClientsAcrossLoopsStress) {
   // TSan surface: three independent clients (each with its own IO
   // threads) hammer a 4-loop server concurrently, so accept paths,
   // parse/submit batches, worker completions, and per-loop counters all
   // race for real. Every client must get every answer.
-  ReactorHarness harness(GetParam(), /*num_loops=*/4);
+  ReactorHarness harness(/*num_loops=*/4);
   const uint32_t num_vertices = harness.graph.num_vertices();
   constexpr size_t kClients = 3;
   std::vector<NetClient::Counters> results(kClients);

@@ -156,17 +156,27 @@ TEST(DualHistogramTest, ConcurrentReadersVersusSwapper) {
       std::this_thread::yield();
     }
   });
+  // Each reader does at least 30k reads and keeps reading until the
+  // swapper has swapped a few times, so the reads really race swaps even
+  // when the swapper thread starts late (the deadline turns a swapper
+  // that never runs into the SwapCount failure below, not a hang).
+  constexpr uint64_t kMinSwaps = 4;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto reads_done = [&](int reads) {
+    return reads >= 30'000 && (h.SwapCount() >= kMinSwaps ||
+                               std::chrono::steady_clock::now() >= deadline);
+  };
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
-      for (int i = 0; i < 30'000; ++i) {
+      for (int i = 0; !reads_done(i); ++i) {
         const HistogramSummary s = h.ReadSummary();
         if (s.count > 0) {
           // Identical samples: any published summary must stay near the
-          // one true value. A straggler Record() racing the swap can
-          // skew count vs sum by a few samples (inherent to the
-          // dual-buffer design), but a torn or corrupted summary would
-          // land far outside these bounds.
+          // one true value. Swaps wait out in-flight Record() calls, so
+          // count and sum never skew apart; a torn or corrupted summary
+          // would land far outside these bounds.
           ASSERT_GE(s.mean, 2 * kMillisecond);
           ASSERT_LE(s.mean, 4 * kMillisecond);
           // p50 interpolates within the bucket by rank, so it can move
