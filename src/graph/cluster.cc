@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/util/epoch_visited.h"
+#include "src/util/dense_id_set.h"
 
 namespace bouncer::graph {
 
@@ -88,10 +88,10 @@ struct WorkerScratch {
   std::vector<uint32_t> neighbors_b;
   std::vector<uint32_t> frontier;
   std::vector<uint32_t> next;
-  // Epoch-stamped membership sets replacing per-call sort/unique scratch
-  // (2-hop dedup) and sorted visited vectors (BFS).
-  EpochVisitedSet dedup;
-  EpochVisitedSet bfs_visited;
+  // Bitset membership: gathered-neighbour dedup (also QT4's
+  // intersection) and BFS visited vertices.
+  DenseIdSet dedup;
+  DenseIdSet bfs_visited;
 };
 
 thread_local WorkerScratch tls_scratch;
@@ -273,8 +273,7 @@ server::Stage::BatchResult Cluster::SubmitBatch(
 bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
                             Subquery::Kind kind, uint32_t limit_per_vertex,
                             QueryTypeId type, Nanos deadline,
-                            std::vector<uint32_t>* degrees_out,
-                            std::vector<uint32_t>* neighbors_out) {
+                            std::vector<uint32_t>* degrees_out) {
   WorkerScratch& scratch = tls_scratch;
   // Fail fast: a query whose earlier round failed answers !ok whatever
   // the later rounds return, so they scatter nothing.
@@ -405,17 +404,6 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
       degrees_out->insert(degrees_out->end(), d.begin(), d.end());
     }
   }
-  if (ok && neighbors_out != nullptr) {
-    size_t total = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      total += scratch.tasks[s].result.neighbors.size();
-    }
-    neighbors_out->reserve(neighbors_out->size() + total);
-    for (size_t s = 0; s < num_shards; ++s) {
-      const auto& n = scratch.tasks[s].result.neighbors;
-      neighbors_out->insert(neighbors_out->end(), n.begin(), n.end());
-    }
-  }
   if (!ok) {
     scratch.fail_reason = countdown.fail_reason.load(std::memory_order_relaxed);
   }
@@ -440,7 +428,7 @@ bool Cluster::FetchDegrees(std::span<const uint32_t> vertices,
                            std::vector<uint32_t>* degrees) {
   degrees->clear();
   return ScatterGather(vertices, Subquery::Kind::kDegrees, 0, type, deadline,
-                       degrees, nullptr);
+                       degrees);
 }
 
 bool Cluster::Expand(std::span<const uint32_t> vertices,
@@ -448,29 +436,22 @@ bool Cluster::Expand(std::span<const uint32_t> vertices,
                      QueryTypeId type, Nanos deadline,
                      std::vector<uint32_t>* unique_neighbors) {
   unique_neighbors->clear();
-  const bool ok = ScatterGather(vertices, Subquery::Kind::kExpand,
-                                cap_per_vertex, type, deadline, nullptr,
-                                unique_neighbors);
-  // Epoch-stamped dedup (O(n), no sort): the result is the unique SET of
-  // gathered neighbors, in unspecified order. When the cap bites,
-  // nth_element keeps exactly the smallest total_cap ids. Every consumer
-  // is order-independent (counts, degree sums, membership tests, next-hop
-  // vertex sets), so no sort is needed; profiling showed a sort alone
-  // costing as much as a third of broker-side CPU on 2-hop/BFS rounds.
-  EpochVisitedSet& dedup = tls_scratch.dedup;
-  dedup.NextEpoch(graph_->num_vertices());
-  size_t write = 0;
-  for (const uint32_t u : *unique_neighbors) {
-    if (dedup.Insert(u)) (*unique_neighbors)[write++] = u;
+  if (!ScatterGather(vertices, Subquery::Kind::kExpand, cap_per_vertex, type,
+                     deadline, nullptr)) {
+    return false;
   }
-  unique_neighbors->resize(write);
-  if (total_cap > 0 && unique_neighbors->size() > total_cap) {
-    std::nth_element(unique_neighbors->begin(),
-                     unique_neighbors->begin() + total_cap,
-                     unique_neighbors->end());
-    unique_neighbors->resize(total_cap);
+  // Dedup straight out of the shards' result buffers into the worker's
+  // bitset. The result is the unique SET of gathered neighbours: in
+  // unspecified order, or the smallest total_cap ids when the cap bites.
+  // Every consumer is order-independent (counts, degree sums, membership
+  // tests, next-hop vertex sets).
+  DenseIdSet& dedup = tls_scratch.dedup;
+  dedup.Reset(graph_->num_vertices());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    dedup.InsertAll(tls_scratch.tasks[s].result.neighbors);
   }
-  return ok;
+  dedup.AppendTo(total_cap, unique_neighbors);
+  return true;
 }
 
 uint64_t Cluster::RunBfs(const GraphQuery& query, uint32_t max_depth,
@@ -478,13 +459,9 @@ uint64_t Cluster::RunBfs(const GraphQuery& query, uint32_t max_depth,
                          Nanos deadline, bool* ok) {
   if (query.source == query.target) return 0;
   WorkerScratch& scratch = tls_scratch;
-  scratch.bfs_visited.NextEpoch(graph_->num_vertices());
-  // A source outside the graph has no neighbours, so marking it could
-  // filter nothing; skipping it keeps a wire-supplied id from sizing the
-  // visited set.
-  if (query.source < graph_->num_vertices()) {
-    scratch.bfs_visited.Insert(query.source);
-  }
+  DenseIdSet& visited = scratch.bfs_visited;
+  visited.Reset(graph_->num_vertices());
+  visited.Insert(query.source);
   std::vector<uint32_t>& frontier = scratch.frontier;
   std::vector<uint32_t>& next = scratch.next;
   frontier.clear();
@@ -501,12 +478,14 @@ uint64_t Cluster::RunBfs(const GraphQuery& query, uint32_t max_depth,
     if (std::find(next.begin(), next.end(), query.target) != next.end()) {
       return depth;
     }
-    frontier.clear();
+    frontier.resize(next.size());
+    size_t unvisited = 0;
     for (const uint32_t u : next) {
-      if (scratch.bfs_visited.Insert(u)) frontier.push_back(u);
+      frontier[unvisited] = u;
+      unvisited += visited.Insert(u);
     }
+    frontier.resize(unvisited);
     if (frontier.empty()) return 0;  // Exhausted within the budget.
-    if (frontier.size() > frontier_cap) frontier.resize(frontier_cap);
   }
   return 0;  // Not reachable within max_depth.
 }
@@ -561,15 +540,13 @@ void Cluster::ExecuteQuery(WorkItem& item) {
       r.ok = Expand(va, 512, 512, type, deadline, &a);
       r.ok = Expand(vb, 512, 512, type, deadline, &b) && r.ok;
       // Order-independent intersection count (both lists are unique
-      // sets; Expand returns them unordered): mark one side in the epoch
-      // set, count the other side's hits.
-      EpochVisitedSet& membership = scratch.dedup;
-      membership.NextEpoch(graph_->num_vertices());
-      for (const uint32_t u : a) membership.Insert(u);
+      // sets; Expand returns them unordered): mark one side in the
+      // bitset, count the other side's hits.
+      DenseIdSet& membership = scratch.dedup;
+      membership.Reset(graph_->num_vertices());
+      membership.InsertAll(a);
       uint64_t common = 0;
-      for (const uint32_t u : b) {
-        if (membership.Contains(u)) ++common;
-      }
+      for (const uint32_t u : b) common += membership.Contains(u);
       r.value = common;
       break;
     }
@@ -596,13 +573,8 @@ void Cluster::ExecuteQuery(WorkItem& item) {
     case GraphOp::kTwoHopSample: {
       std::vector<uint32_t>& hop1 = scratch.hop1;
       const uint32_t v[] = {q.source};
-      r.ok = Expand(v, 64, 64, type, deadline, &hop1);
-      if (hop1.size() > 32) {
-        // Sample the 32 smallest ids (Expand output is unordered, so
-        // select explicitly).
-        std::nth_element(hop1.begin(), hop1.begin() + 32, hop1.end());
-        hop1.resize(32);
-      }
+      // Samples the 32 smallest of the (at most 64) neighbour ids.
+      r.ok = Expand(v, 64, 32, type, deadline, &hop1);
       std::vector<uint32_t>& hop2 = scratch.hop2;
       r.ok = Expand(hop1, 32, 1024, type, deadline, &hop2) && r.ok;
       r.value = hop2.size();

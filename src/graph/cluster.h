@@ -197,14 +197,16 @@ class Cluster {
   void ExecuteQuery(server::WorkItem& item);
   /// Scatter `vertices` to their shards as one `kind` subquery batch per
   /// shard (admission is charged once per round per shard) and gather
-  /// results, appending degrees/neighbors to whichever outputs are
-  /// non-null. Returns false if any subquery failed.
+  /// results, appending degrees to `degrees_out` when non-null. Gathered
+  /// neighbours stay in the calling worker's per-shard result buffers,
+  /// where Expand() reads them. Returns false if any subquery failed.
   bool ScatterGather(std::span<const uint32_t> vertices, Subquery::Kind kind,
                      uint32_t limit_per_vertex, QueryTypeId type,
-                     Nanos deadline, std::vector<uint32_t>* degrees_out,
-                     std::vector<uint32_t>* neighbors_out);
+                     Nanos deadline, std::vector<uint32_t>* degrees_out);
   bool FetchDegrees(std::span<const uint32_t> vertices, QueryTypeId type,
                     Nanos deadline, std::vector<uint32_t>* degrees);
+  /// Unique neighbours of `vertices` (at most `cap_per_vertex` each),
+  /// unordered, or the `total_cap` smallest when there are more.
   bool Expand(std::span<const uint32_t> vertices, uint32_t cap_per_vertex,
               size_t total_cap, QueryTypeId type, Nanos deadline,
               std::vector<uint32_t>* unique_neighbors);

@@ -5,8 +5,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 
 #include "src/graph/graph_generator.h"
+#include "src/graph/update_log.h"
 
 namespace bouncer::graph {
 namespace {
@@ -234,6 +236,49 @@ TEST_F(ClusterTest, RoundRobinAcrossBrokers) {
   while (finished.load() < 40) std::this_thread::yield();
   EXPECT_GT(cluster.broker(0)->counters().received, 0u);
   EXPECT_GT(cluster.broker(1)->counters().received, 0u);
+  cluster.Stop();
+}
+
+TEST_F(ClusterTest, UpdateEdgesPastTheGraphAreNeighboursWithoutSizingSets) {
+  // The update log accepts any destination id. Ids past the snapshot are
+  // neighbours like any other, but must not size the broker's per-worker
+  // sets: sized by id, 0xFFFFFFF0 alone would ask for gigabytes.
+  const Slo slo{18 * kMillisecond, 50 * kMillisecond, 0};
+  QueryTypeRegistry registry = Cluster::MakeRegistry(slo);
+  uint32_t source = 0;
+  while (graph_->Degree(source) > 60) ++source;
+  uint32_t other = source + 1;
+  while (graph_->Degree(other) > 60) ++other;
+  constexpr uint32_t kFarId = 0xFFFFFFF0u;
+  EdgeUpdateLog log;
+  log.AddEdge(source, kFarId);
+  log.AddEdge(source, graph_->num_vertices());
+  log.AddEdge(other, kFarId);
+  Cluster::Options options = DefaultOptions();
+  options.update_log = &log;
+  Cluster cluster(graph_, &registry, SystemClock::Global(), options);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  const auto neighbors = Ask(cluster, {GraphOp::kNeighbors, source, 0, 0});
+  EXPECT_TRUE(neighbors.result.ok);
+  EXPECT_EQ(neighbors.result.value, graph_->Degree(source) + 2u);
+
+  const auto sa = graph_->Neighbors(source);
+  const auto sb = graph_->Neighbors(other);
+  const std::set<uint32_t> a(sa.begin(), sa.end());
+  uint64_t common = 1;  // kFarId.
+  for (const uint32_t u : std::set<uint32_t>(sb.begin(), sb.end())) {
+    common += a.count(u);
+  }
+  const auto intersection =
+      Ask(cluster, {GraphOp::kCommonNeighbors, source, other, 0});
+  EXPECT_TRUE(intersection.result.ok);
+  EXPECT_EQ(intersection.result.value, common);
+
+  const auto distance =
+      Ask(cluster, {GraphOp::kDistance3, source, kFarId, 0});
+  EXPECT_TRUE(distance.result.ok);
+  EXPECT_EQ(distance.result.value, 1u);
   cluster.Stop();
 }
 
