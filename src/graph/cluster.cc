@@ -19,10 +19,13 @@ struct Cluster::QueryContext {
 namespace {
 
 /// Countdown for one broker->shards scatter. Lives in the broker worker's
-/// scratch; the last shard completion is its last access (the wake-up
-/// goes through the cluster-owned ParkingLot, never through this struct),
-/// so the gathering worker may move on the instant `pending` reads zero.
+/// scratch; the last shard completion's decrement is its last access (a
+/// completion reads `gate` first and wakes that cluster-owned lot after
+/// the decrement), so the gathering worker may move on the instant
+/// `pending` reads zero.
 struct ScatterCountdown {
+  /// The gathering thread's lot; set before the round's first submit.
+  ParkingLot* gate = nullptr;
   std::atomic<uint32_t> pending{0};
   std::atomic<bool> failed{false};
   /// RejectReason wire code of the first failure (first writer wins).
@@ -80,6 +83,10 @@ struct WorkerScratch {
   // Round-level state.
   std::vector<ShardTask> tasks;  ///< One slot per shard.
   ScatterCountdown countdown;
+  /// This thread's gather lot and the Cluster::lot_epoch_ it belongs to
+  /// (0 = none; epochs start at 1).
+  ParkingLot* lot = nullptr;
+  uint64_t lot_epoch = 0;
   // Query-level operand buffers.
   std::vector<uint32_t> degrees;
   std::vector<uint32_t> hop1;
@@ -96,11 +103,23 @@ struct WorkerScratch {
 
 thread_local WorkerScratch tls_scratch;
 
+/// Lot epochs are unique across every cluster of the process, so a
+/// scratch's cached lot never matches a later cluster built at the same
+/// address.
+uint64_t NextLotEpoch() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 Cluster::Cluster(const GraphStore* graph, const QueryTypeRegistry* registry,
                  Clock* clock, const Options& options)
-    : graph_(graph), registry_(registry), clock_(clock), options_(options) {
+    : graph_(graph),
+      registry_(registry),
+      clock_(clock),
+      options_(options),
+      lot_epoch_(NextLotEpoch()) {
   const auto num_shards = static_cast<uint32_t>(
       options_.num_shards == 0 ? 1 : options_.num_shards);
   options_.num_shards = num_shards;
@@ -159,9 +178,20 @@ Cluster::Cluster(const GraphStore* graph, const QueryTypeRegistry* registry,
       init_status_ = brokers_.back()->init_status();
     }
   }
+  if (options_.metrics != nullptr) {
+    collector_handle_ =
+        options_.metrics->AddCollector([this](stats::MetricSink& sink) {
+          sink.AddCounter("cluster.gather_parks", gather_parks());
+        });
+  }
 }
 
-Cluster::~Cluster() { Stop(); }
+Cluster::~Cluster() {
+  if (collector_handle_ != 0) {
+    options_.metrics->RemoveCollector(collector_handle_);
+  }
+  Stop();
+}
 
 Status Cluster::Start() {
   if (!init_status_.ok()) return init_status_;
@@ -177,6 +207,23 @@ Status Cluster::Start() {
 void Cluster::Stop() {
   for (auto& broker : brokers_) broker->Stop(false);
   for (auto& shard : shards_) shard->Stop(false);
+  // Every gathering worker has exited and every round has completed:
+  // hand the lots back for the next Start()'s threads.
+  std::lock_guard<std::mutex> lock(lots_mu_);
+  lots_taken_ = 0;
+  lot_epoch_.store(NextLotEpoch(), std::memory_order_relaxed);
+}
+
+ParkingLot* Cluster::GatherLot() {
+  WorkerScratch& scratch = tls_scratch;
+  if (scratch.lot_epoch == lot_epoch_.load(std::memory_order_relaxed)) {
+    return scratch.lot;
+  }
+  std::lock_guard<std::mutex> lock(lots_mu_);
+  if (lots_taken_ == lots_.size()) lots_.emplace_back();
+  scratch.lot = &lots_[lots_taken_++];
+  scratch.lot_epoch = lot_epoch_.load(std::memory_order_relaxed);
+  return scratch.lot;
 }
 
 QueryTypeRegistry Cluster::MakeRegistry(const Slo& slo) {
@@ -291,9 +338,15 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
     scratch.tasks[v % num_shards].subquery.vertices.push_back(v);
   }
 
+  // The last non-empty shard's subquery is the gatherer's own share: it
+  // goes out last, after its siblings have woken their shards' workers,
+  // so a multi-shard round can run on several threads at once.
   uint32_t active = 0;
+  size_t own = 0;
   for (size_t s = 0; s < num_shards; ++s) {
-    if (!scratch.tasks[s].subquery.vertices.empty()) ++active;
+    if (scratch.tasks[s].subquery.vertices.empty()) continue;
+    ++active;
+    own = s;
   }
   if (active == 0) return true;
 
@@ -303,6 +356,7 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
   // path), and must never see a count that another shard's submission
   // has not yet been added to.
   ScatterCountdown& countdown = scratch.countdown;
+  countdown.gate = GatherLot();
   countdown.pending.store(active, std::memory_order_relaxed);
   countdown.failed.store(false, std::memory_order_relaxed);
   countdown.fail_reason.store(0, std::memory_order_relaxed);
@@ -345,6 +399,9 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
     }
     item.on_complete = [this](const WorkItem& w, Outcome outcome) {
       ScatterCountdown* countdown = static_cast<ShardTask*>(w.user)->countdown;
+      // Read before the decrement: once `pending` hits zero the gatherer
+      // may reuse the countdown for its next round.
+      ParkingLot* gate = countdown->gate;
       if (outcome != Outcome::kCompleted) {
         shard_failures_.fetch_add(1, std::memory_order_relaxed);
         countdown->failed.store(true, std::memory_order_relaxed);
@@ -358,15 +415,17 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
       // acq_rel: the decrement publishes this shard's result writes to
       // the gatherer's acquire load, and the RMW chain extends the
       // release sequence across shards. This is the countdown's last
-      // access — the wake-up goes through the cluster-owned gate.
+      // access; the wake-up goes to the gatherer's cluster-owned lot.
       if (countdown->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        scatter_gate_.NotifyAll();
+        gate->NotifyAll();
       }
     };
-    if (active == 1) {
-      // Single-shard round: when the shard's queue is empty-and-admitting
-      // the subquery runs right here on the broker worker, skipping both
-      // thread hand-offs; admission accounting still lands on the shard.
+    if (s == own) {
+      // The gatherer's own share: when the shard's queue is
+      // empty-and-admitting it runs right here on the broker worker,
+      // skipping both thread hand-offs (admission accounting still lands
+      // on the shard); otherwise it is queued without waking a shard
+      // worker, because the gather below helps until it has run.
       shards_[s]->SubmitInline(std::move(item));
     } else {
       shards_[s]->Submit(std::move(item));
@@ -374,12 +433,14 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
   }
 
   // Gather: lend this broker worker's CPU to the shard queues while the
-  // round is in flight (work-helping) — the round's own subqueries sit
-  // in those queues, so on a saturated host the gather usually completes
-  // without a single thread hand-off. Once every shard queue is dry the
-  // worker parks on the cluster's eventcount straight away; the 10 ms
-  // ParkingLot backstop re-checks the countdown, so a missed wake-up
-  // costs bounded latency, never a hang.
+  // round is in flight (work-helping). Liveness invariant: the own share
+  // may sit in a queue with no worker woken for it, so the gatherer
+  // parks only after a full pass finds every shard queue empty, and
+  // re-checks the queues under its lot's mutex. An empty pass means some
+  // thread popped that share and will complete it. Parked, it waits for
+  // its round's last completion to wake its lot; the 10 ms ParkingLot
+  // backstop re-checks the countdown, so a missed wake-up costs bounded
+  // latency, never a hang.
   while (countdown.pending.load(std::memory_order_acquire) != 0) {
     bool helped = false;
     for (size_t s = 0; s < num_shards; ++s) {
@@ -387,9 +448,14 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
       if (shards_[s]->TryRunOne()) helped = true;
     }
     if (helped) continue;
-    scatter_gate_.ParkUnless([&countdown] {
-      return countdown.pending.load(std::memory_order_acquire) == 0;
+    const bool parked = countdown.gate->ParkUnless([this, &countdown] {
+      if (countdown.pending.load(std::memory_order_acquire) == 0) return true;
+      for (const auto& shard : shards_) {
+        if (shard->AnyQueueNonEmpty()) return true;
+      }
+      return false;
     });
+    if (parked) gather_parks_.fetch_add(1, std::memory_order_relaxed);
   }
 
   const bool ok = !countdown.failed.load(std::memory_order_relaxed);

@@ -2,8 +2,10 @@
 #define BOUNCER_GRAPH_CLUSTER_H_
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -184,6 +186,11 @@ class Cluster {
   uint64_t shard_failures() const {
     return shard_failures_.load(std::memory_order_relaxed);
   }
+  /// Times a gathering thread found every shard queue dry with its round
+  /// still in flight and slept; published as "cluster.gather_parks".
+  uint64_t gather_parks() const {
+    return gather_parks_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct QueryContext;
@@ -213,6 +220,10 @@ class Cluster {
   uint64_t RunBfs(const GraphQuery& query, uint32_t max_depth,
                   size_t frontier_cap, QueryTypeId type, Nanos deadline,
                   bool* ok);
+  /// The calling thread's gather lot: cached in its scratch for the
+  /// current lot epoch, otherwise the next free lot. Only this cluster's
+  /// broker workers gather, so each takes one lot per epoch.
+  ParkingLot* GatherLot();
 
   const GraphStore* graph_;
   const QueryTypeRegistry* registry_;
@@ -224,12 +235,24 @@ class Cluster {
   std::vector<std::unique_ptr<server::Stage>> brokers_;
   stats::FlightRecorder* recorder_ = nullptr;
   std::atomic<uint64_t> shard_failures_{0};
+  std::atomic<uint64_t> gather_parks_{0};
   std::atomic<uint64_t> next_broker_{0};
-  /// Eventcount the gathering broker workers park on; shared (it is
-  /// notified only when a round's countdown hits zero, and every waiter
-  /// re-checks its own round) and owned by the cluster so a completion
-  /// racing a worker shutdown never touches freed memory.
-  ParkingLot scatter_gate_;
+  /// One eventcount per gathering thread: a round's countdown carries
+  /// its gatherer's lot, and the round's last completion wakes that lot
+  /// alone. The cluster owns the lots and frees none before it dies, so
+  /// a completion racing a worker shutdown never touches freed memory.
+  /// Stop() hands every lot back (a new epoch makes each thread's cached
+  /// lot stale), so a Stop()/Start() cycle reuses them instead of
+  /// growing the set.
+  std::mutex lots_mu_;
+  std::deque<ParkingLot> lots_;  ///< Guarded by lots_mu_; never shrinks.
+  /// lots_[0, lots_taken_) belong to the threads that have gathered
+  /// since the last Stop(), one each; guarded by lots_mu_.
+  size_t lots_taken_ = 0;
+  /// Process-unique id of the current lot assignment; a thread's cached
+  /// lot is valid only while its recorded epoch matches.
+  std::atomic<uint64_t> lot_epoch_;
+  uint64_t collector_handle_ = 0;
   /// Recycles per-query contexts so Submit() allocates nothing in steady
   /// state (the completion callback returns the context).
   ObjectPool<QueryContext> context_pool_;

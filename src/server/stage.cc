@@ -67,6 +67,7 @@ Stage::Stage(const Options& options, const QueryTypeRegistry* registry,
           sink.AddCounter(prefix + "expired", snapshot.expired);
           sink.AddCounter(prefix + "shedded", snapshot.shedded);
           sink.AddCounter(prefix + "completed", snapshot.completed);
+          sink.AddCounter(prefix + "worker_parks", snapshot.worker_parks);
           sink.AddGauge(prefix + "queue_length",
                         static_cast<int64_t>(queue_state_.TotalLength()));
         });
@@ -92,6 +93,7 @@ StageCounters Stage::counters() const {
     out.expired += c.expired.load(std::memory_order_relaxed);
     out.shedded += c.shedded.load(std::memory_order_relaxed);
     out.completed += c.completed.load(std::memory_order_relaxed);
+    out.worker_parks += c.worker_parks.load(std::memory_order_relaxed);
   }
   return out;
 }
@@ -108,6 +110,16 @@ bool Stage::PopAny(size_t home, WorkItem& out) {
     if (queues_[(home + k) % n]->fifo.TryPop(out)) return true;
   }
   return false;
+}
+
+size_t Stage::PushSpilling(size_t home, WorkItem* items, size_t count) {
+  const size_t n = queues_.size();
+  size_t pushed = 0;
+  for (size_t k = 0; k < n && pushed < count; ++k) {
+    pushed += queues_[(home + k) % n]->fifo.TryPushBatch(items + pushed,
+                                                         count - pushed);
+  }
+  return pushed;
 }
 
 bool Stage::AnyQueueNonEmpty() const {
@@ -218,7 +230,8 @@ Stage::BatchResult Stage::SubmitBatch(std::span<WorkItem> items,
                                       uint32_t submitter) {
   BatchResult result;
   if (items.empty()) return result;
-  RunQueue& queue = *queues_[PreferredQueue(submitter)];
+  const size_t home = PreferredQueue(submitter);
+  RunQueue& queue = *queues_[home];
   // One timestamp for the whole batch: every item of one epoll wakeup
   // arrived "now" at frame granularity anyway, and the clock read is a
   // per-item cost the batch path exists to amortize.
@@ -253,15 +266,15 @@ Stage::BatchResult Stage::SubmitBatch(std::span<WorkItem> items,
                                     std::memory_order_relaxed);
 
   // Pass 2 — one cursor reservation enqueues the whole admitted block
-  // into the submitter's preferred ring (one ring per batch keeps the
-  // block contiguous).
+  // into the submitter's preferred ring; a remainder that does not fit
+  // spills into the other rings, one contiguous block per ring.
   size_t pushed = 0;
   if (admitted > 0 && !stopping_.load(std::memory_order_acquire)) {
-    pushed = queue.fifo.TryPushBatch(items.data(), admitted);
+    pushed = PushSpilling(home, items.data(), admitted);
   }
   for (size_t i = pushed; i < admitted; ++i) {
-    // Ring full (or stopping): the policy saw an accept, so report the
-    // drop per item to keep its windows and aggregates honest.
+    // Every ring full (or stopping): the policy saw an accept, so report
+    // the drop per item to keep its windows and aggregates honest.
     WorkItem& item = items[i];
     queue_state_.OnDequeued(item.type);
     item.reject_reason = RejectReason::kQueueFull;
@@ -321,8 +334,8 @@ Outcome Stage::SubmitImpl(WorkItem item, bool allow_inline) {
     return Outcome::kCompleted;
   }
   if (stopping_.load(std::memory_order_acquire) ||
-      !queue.fifo.TryPush(std::move(item))) {
-    // TryPush leaves `item` intact on failure (ring full).
+      PushSpilling(home, &item, 1) == 0) {
+    // A failed push leaves `item` intact (every ring full).
     queue_state_.OnDequeued(key.type);
     item.reject_reason = RejectReason::kQueueFull;
     TraceOutcome(item, now, stats::TraceEventKind::kShed);
@@ -334,7 +347,9 @@ Outcome Stage::SubmitImpl(WorkItem item, bool allow_inline) {
     return Outcome::kShedded;
   }
   queue.counters.accepted.fetch_add(1, std::memory_order_relaxed);
-  idle_workers_.NotifyOne();
+  // An inline caller that fell back here helps until its item has run
+  // (SubmitInline's contract), so only Submit() wakes a worker.
+  if (!allow_inline) idle_workers_.NotifyOne();
   return Outcome::kCompleted;  // Admitted; terminal outcome follows async.
 }
 
@@ -360,9 +375,10 @@ void Stage::WorkerLoop(size_t worker_index) {
       item = WorkItem();
       continue;
     }
-    idle_workers_.ParkUnless([this] {
+    const bool parked = idle_workers_.ParkUnless([this] {
       return stopping_.load(std::memory_order_relaxed) || AnyQueueNonEmpty();
     });
+    if (parked) counters.worker_parks.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

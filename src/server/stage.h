@@ -83,6 +83,9 @@ struct StageCounters {
   uint64_t expired = 0;
   uint64_t shedded = 0;
   uint64_t completed = 0;
+  /// Times a worker found every ring dry and slept (woken or timed out
+  /// by the park backstop).
+  uint64_t worker_parks = 0;
 };
 
 /// SEDA-like stage (paper Fig. 1): an admission policy guards bounded
@@ -110,6 +113,10 @@ struct StageCounters {
 /// touch when somebody actually sleeps, and queue occupancy is read from
 /// the lock-free QueueState. The only mutex guards Start()/Stop()
 /// lifecycle transitions.
+///
+/// Wake rule: Submit() and SubmitBatch() wake one parked worker per
+/// queued item; SubmitInline() wakes none, because its caller helps
+/// through TryRunOne() until its own item has run.
 class Stage {
  public:
   /// SubmitBatch() submitter hint meaning "use the calling thread's
@@ -119,8 +126,12 @@ class Stage {
   struct Options {
     std::string name = "stage";
     size_t num_workers = 4;       ///< P: level of task parallelism.
-    /// Hard memory bound on the logical FIFO, split evenly across the
-    /// run queues (each ring rounds its share up to a power of two).
+    /// Bound on the logical FIFO: every submit path spills into the
+    /// other run queues before it sheds, so the stage sheds only once
+    /// every ring is full. The bound is split evenly across the rings
+    /// and each ring rounds its share up to a power of two, so the stage
+    /// holds exactly this many items when the share is a power of two
+    /// and up to about twice as many otherwise.
     size_t queue_capacity = 100'000;
     /// Number of run-queue shards; 0 = one per worker (capped at 64).
     /// More queues than workers is allowed — extra rings are drained via
@@ -204,15 +215,19 @@ class Stage {
   /// producer always targets one ring.
   ///
   /// Ordering: admitted items of one batch are pushed as one contiguous
-  /// block of one ring and popped from it in batch order with nothing
-  /// interleaved inside the block; concurrent submits with the same
-  /// preferred ring land wholly before or after it, and submits to other
-  /// rings never split the block. Dequeue start-order preserves the block
-  /// order even when stolen (steals pop the victim ring's head). With
-  /// more than one consumer, items of one batch can be *in flight*
-  /// concurrently — that was already true of the single FIFO. When the
-  /// ring lacks space, a FIFO prefix is enqueued and the remainder is
-  /// shed (per-item OnShedded + on_complete(kShedded), preserving order).
+  /// block of the preferred ring and popped from it in batch order with
+  /// nothing interleaved inside the block; concurrent submits with the
+  /// same preferred ring land wholly before or after it, and submits to
+  /// other rings never split the block. Dequeue start-order preserves
+  /// the block order even when stolen (steals pop the victim ring's
+  /// head). With more than one consumer, items of one batch can be *in
+  /// flight* concurrently — that was already true of the single FIFO.
+  /// When the preferred ring lacks space, the remainder spills into the
+  /// other rings in index order after it (wrapping), each taking the
+  /// next FIFO slice of the batch as one contiguous block: a spilled
+  /// batch is contiguous per ring, not across rings. Whatever no ring
+  /// has room for is shed (per-item OnShedded + on_complete(kShedded),
+  /// preserving order).
   ///
   /// Items are moved from; the span's storage is the caller's parse
   /// scratch and is reusable once this returns.
@@ -228,8 +243,16 @@ class Stage {
   /// either way (the inline path is an enqueue immediately followed by a
   /// dequeue), so per-type accounting and utilization charges land on
   /// this stage's policy regardless of which thread lends the CPU. Used
-  /// by the cluster's scatter-gather to short-circuit single-shard rounds
-  /// without a double thread hand-off.
+  /// by the cluster's scatter-gather for the subquery the gathering
+  /// broker runs itself, skipping a double thread hand-off.
+  ///
+  /// The queued fallback wakes no worker. The caller must therefore keep
+  /// calling TryRunOne() until the item has completed, and may park only
+  /// after a full pass finds every run queue empty (AnyQueueNonEmpty()
+  /// re-checked under its parking lot): an empty pass means some thread
+  /// has popped the item and will run it to completion. Without a
+  /// helping caller, only an already-awake worker or a parked worker's
+  /// 10 ms backstop would pick the item up.
   Outcome SubmitInline(WorkItem item);
 
   /// Pops and processes at most one queued item on the calling thread
@@ -242,6 +265,11 @@ class Stage {
   /// thread's preferred ring, pop the first non-empty ring's head — so
   /// per-ring FIFO order is preserved.
   bool TryRunOne();
+
+  /// True when some run queue holds an item (cursor snapshot: also true
+  /// for a slot a producer has claimed but not yet published, which a
+  /// TryRunOne() pass can miss).
+  bool AnyQueueNonEmpty() const;
 
   /// The stage's policy (for observability).
   AdmissionPolicy* policy() { return policy_.get(); }
@@ -277,6 +305,7 @@ class Stage {
     std::atomic<uint64_t> expired{0};
     std::atomic<uint64_t> shedded{0};
     std::atomic<uint64_t> completed{0};
+    std::atomic<uint64_t> worker_parks{0};
   };
   struct RunQueue {
     explicit RunQueue(size_t capacity) : fifo(capacity) {}
@@ -294,7 +323,10 @@ class Stage {
   /// Pops from `home` first, then steals scanning the other rings in
   /// index order. Returns false when every ring is empty.
   bool PopAny(size_t home, WorkItem& out);
-  bool AnyQueueNonEmpty() const;
+  /// Pushes a FIFO prefix of `items[0..count)`: as one block into
+  /// `home`, then the rest into the other rings in index order, one
+  /// contiguous block each. Returns how many items were moved from.
+  size_t PushSpilling(size_t home, WorkItem* items, size_t count);
 
   Outcome SubmitImpl(WorkItem item, bool allow_inline);
   /// Admission-time observability: decides trace sampling, stamps the

@@ -210,15 +210,16 @@ class ParkingLot {
   /// Parks the calling thread unless `recheck()` returns true after the
   /// thread has registered as a sleeper. `recheck` runs under the lot's
   /// mutex and must be cheap and non-blocking. Spurious returns are
-  /// allowed; callers loop around their own condition.
+  /// allowed; callers loop around their own condition. Returns true when
+  /// the thread slept (woken or timed out), false when `recheck` held.
   template <typename Pred>
-  void ParkUnless(Pred recheck) {
+  bool ParkUnless(Pred recheck) {
     std::unique_lock<std::mutex> lock(mu_);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    if (!recheck()) {
-      cv_.wait_for(lock, kParkBackstop);
-    }
+    const bool park = !recheck();
+    if (park) cv_.wait_for(lock, kParkBackstop);
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    return park;
   }
 
   /// Wakes at most `n` parked threads: one per item a producer just

@@ -1,21 +1,26 @@
 // Stress and regression tests for the pooled/async scatter-gather path:
 // countdown correctness under synchronous shard rejections, end-to-end
 // shed propagation, fail-fast on a failed query, wake-ups through the
-// parked hand-offs, and query values against recorded golden folds and
-// the single-run-queue core. The suite name (ClusterScatter*) is
-// matched by the TSan CI job's ctest regex.
+// parked hand-offs (each round's last completion wakes its own
+// gatherer; a sibling subquery wakes its shard's worker, the gatherer's
+// own share wakes nobody), the park counters, and query values against
+// recorded golden folds and the single-run-queue core. The suite name
+// (ClusterScatter*) is matched by the TSan CI job's ctest regex.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "src/graph/cluster.h"
 #include "src/graph/graph_generator.h"
+#include "src/stats/metric_registry.h"
 
 namespace bouncer::graph {
 namespace {
@@ -79,6 +84,32 @@ class ClusterScatterStressTest : public ::testing::Test {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return done; });
     return out;
+  }
+
+  /// Runs `clients` threads, each asking `per_client` queries one after
+  /// another (pausing first, so that idle workers and gatherers have
+  /// parked), alternating `even_op` and `odd_op` queries. Returns the
+  /// wall time of the whole run; every answer must be ok.
+  static std::chrono::steady_clock::duration AskConcurrently(
+      Cluster& cluster, int clients, int per_client, GraphOp even_op,
+      GraphOp odd_op) {
+    std::atomic<int> failed{0};
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> threads;
+    for (int c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        Rng rng(200 + c);
+        for (int i = 0; i < per_client; ++i) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          const GraphOp op = i % 2 == 0 ? even_op : odd_op;
+          const GraphQuery q = Cluster::SampleQuery(op, *graph_, rng);
+          if (!Ask(cluster, q).ok) failed.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(failed.load(), 0);
+    return std::chrono::steady_clock::now() - start;
   }
 
   static GraphStore* graph_;
@@ -461,6 +492,162 @@ TEST_F(ClusterScatterStressTest,
   const auto elapsed = std::chrono::steady_clock::now() - start;
   cluster.Stop();
   EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+/// A clock that slows the threads of a scatter down in a fixed pattern:
+/// every Now() on a shard worker sleeps 500 us and every Now() on a
+/// broker worker 100 us (threads are told apart by their names). A shard
+/// worker woken for a sibling subquery thus pops it while the gatherer
+/// still sleeps in its own share, and then holds it for a millisecond:
+/// the gatherer finds every queue dry and parks until the worker's
+/// completion wakes it.
+class HandOffClock final : public Clock {
+ public:
+  Nanos Now() const override {
+    char name[16] = {};
+    ::pthread_getname_np(::pthread_self(), name, sizeof(name));
+    if (std::strncmp(name, "shard-", 6) == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    } else if (std::strncmp(name, "broker-", 7) == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return SystemClock::Global()->Now();
+  }
+};
+
+/// The gather rule: each of these sequential QT5 queries ends with a
+/// degree round over both shards whose sibling subquery the shard worker
+/// runs, so the gatherer parks on nearly every query. The round's last
+/// completion must wake it; a lost wake-up costs the full 10 ms
+/// backstop, and a few dozen of them would blow the bound.
+TEST_F(ClusterScatterStressTest,
+       SequentialTwoShardRoundsNeverWaitForBackstop) {
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  HandOffClock clock;
+  Cluster cluster(graph_, &registry, &clock, TwoShardOptions());
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto elapsed =
+      AskConcurrently(cluster, /*clients=*/1, /*per_client=*/100,
+                      GraphOp::kNeighborDegreeSum, GraphOp::kNeighborDegreeSum);
+  cluster.Stop();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(600));
+}
+
+/// The gather rule under concurrency: four clients ask single-shard
+/// (QT1) and two-shard (QT5) queries at once, so gatherers help each
+/// other's rounds and park while another thread runs their last
+/// subquery. Each round's last completion must wake exactly the
+/// gatherer that waits on it; a lost one costs the 10 ms backstop.
+TEST_F(ClusterScatterStressTest,
+       ConcurrentSingleAndTwoShardQueriesNeverWaitForBackstop) {
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  HandOffClock clock;
+  Cluster::Options options = TwoShardOptions();
+  options.broker_workers = 4;
+  Cluster cluster(graph_, &registry, &clock, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto elapsed =
+      AskConcurrently(cluster, /*clients=*/4, /*per_client=*/100,
+                      GraphOp::kDegree, GraphOp::kNeighborDegreeSum);
+  cluster.Stop();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(350));
+}
+
+/// The scatter rule for single-shard rounds: with one shard, four
+/// gatherers race for its queue, and every subquery that cannot run
+/// inline is queued without waking the shard worker. The gatherers'
+/// help must drain those; a subquery left for the parked worker costs
+/// the 10 ms backstop.
+TEST_F(ClusterScatterStressTest,
+       ConcurrentSingleShardQueriesNeverWaitForBackstop) {
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  HandOffClock clock;
+  Cluster::Options options = TwoShardOptions();
+  options.num_shards = 1;
+  options.broker_workers = 4;
+  Cluster cluster(graph_, &registry, &clock, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const auto elapsed =
+      AskConcurrently(cluster, /*clients=*/4, /*per_client=*/100,
+                      GraphOp::kDegree, GraphOp::kNeighbors);
+  cluster.Stop();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(300));
+}
+
+/// The scatter rule for multi-shard rounds: the sibling subquery of a
+/// two-shard round wakes its shard's parked worker, so the round runs on
+/// two threads. Each of these sequential QT5 queries pauses first, so the
+/// shard workers are parked when its degree round (both shards) goes
+/// out; every wake ends one park. Without the sibling wakes the workers
+/// wake only on the 10 ms backstop, a few dozen times in this run.
+TEST_F(ClusterScatterStressTest, TwoShardRoundsWakeTheSiblingShardWorker) {
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  Cluster cluster(graph_, &registry, SystemClock::Global(),
+                  TwoShardOptions());
+  ASSERT_TRUE(cluster.Start().ok());
+  constexpr int kQueries = 1000;
+  const auto parks = [&cluster] {
+    return cluster.shard(0)->counters().worker_parks +
+           cluster.shard(1)->counters().worker_parks;
+  };
+  const uint64_t parks_before = parks();
+  const auto elapsed =
+      AskConcurrently(cluster, /*clients=*/1, kQueries,
+                      GraphOp::kNeighborDegreeSum, GraphOp::kNeighborDegreeSum);
+  const uint64_t parks_during = parks() - parks_before;
+  cluster.Stop();
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  // Backstop wake-ups alone would give 2 workers x 100/s x elapsed.
+  const auto backstop_parks = static_cast<uint64_t>(
+      2 * 100 * std::chrono::duration<double>(elapsed).count());
+  EXPECT_GE(parks_during, static_cast<uint64_t>(kQueries / 2));
+  EXPECT_GT(parks_during, 4 * backstop_parks);
+}
+
+/// Observability: a gatherer that finds every shard queue dry while its
+/// round is still in flight parks, and the park shows in
+/// cluster.gather_parks (the HandOffClock makes the shard worker hold
+/// the sibling subquery of a QT5 degree round).
+TEST_F(ClusterScatterStressTest, ParkedGathererCountsInGatherParks) {
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  HandOffClock clock;
+  stats::MetricRegistry metrics;
+  Cluster::Options options = TwoShardOptions();
+  options.metrics = &metrics;
+  Cluster cluster(graph_, &registry, &clock, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  Rng rng(91);
+  for (int i = 0; i < 100 && cluster.gather_parks() == 0; ++i) {
+    const GraphQuery q =
+        Cluster::SampleQuery(GraphOp::kNeighborDegreeSum, *graph_, rng);
+    ASSERT_TRUE(Ask(cluster, q).ok);
+  }
+  EXPECT_GT(cluster.gather_parks(), 0u);
+  uint64_t published = 0;
+  for (const auto& [name, value] : metrics.Snapshot().counters) {
+    if (name == "cluster.gather_parks") published = value;
+  }
+  EXPECT_GT(published, 0u);
+  cluster.Stop();
+}
+
+/// Gather lots outlive Stop(): a restarted cluster's new broker threads
+/// take the lots back over, and their parks still get woken.
+TEST_F(ClusterScatterStressTest, RestartedClusterReusesGatherLots) {
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  HandOffClock clock;
+  Cluster cluster(graph_, &registry, &clock, TwoShardOptions());
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    ASSERT_TRUE(cluster.Start().ok()) << "cycle " << cycle;
+    const uint64_t parks_before = cluster.gather_parks();
+    const auto elapsed =
+        AskConcurrently(cluster, /*clients=*/1, /*per_client=*/20,
+                        GraphOp::kNeighborDegreeSum,
+                        GraphOp::kNeighborDegreeSum);
+    cluster.Stop();
+    EXPECT_GT(cluster.gather_parks(), parks_before) << "cycle " << cycle;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(150)) << "cycle " << cycle;
+  }
 }
 
 /// Satellite (f): with Options::shard_metrics wired, shard stages report

@@ -1,7 +1,8 @@
 // Shared-nothing execution-core tests: run-queue shard resolution, the
 // SubmitBatch ordering contract under stealing, starvation (idle workers
-// must steal a hot ring dry), shed accounting when the preferred ring
-// fills, and a TSan-targeted stress where broker-like threads
+// must steal a hot ring dry), spilling into the other rings before
+// shedding (the configured capacity is the stage's bound, whatever the
+// ring count), and a TSan-targeted stress where broker-like threads
 // TryRunOne-steal from a sharded stage mid-submit.
 
 #include <gtest/gtest.h>
@@ -201,9 +202,10 @@ TEST(StageShardedTest, IdleWorkersStealHotRingDry) {
       << "no worker stole from the hot ring";
 }
 
-// A full preferred ring sheds the batch remainder even when other rings
-// have space: spilling would break the contiguous-block guarantee.
-TEST(StageShardedTest, ShedsRemainderWhenPreferredRingFull) {
+// A full preferred ring spills the batch remainder into the other ring,
+// as one contiguous block, before anything sheds; only what no ring has
+// room for is shed.
+TEST(StageShardedTest, SpillsRemainderIntoOtherRingsBeforeShedding) {
   Stage::Options options;
   options.num_workers = 1;
   options.num_run_queues = 2;
@@ -213,18 +215,58 @@ TEST(StageShardedTest, ShedsRemainderWhenPreferredRingFull) {
   std::vector<WorkItem> batch = f.MakeBatch(0, 10);
   const Stage::BatchResult result =
       f.stage->SubmitBatch(batch, /*submitter=*/0);
-  EXPECT_EQ(result.admitted, 4u);
-  EXPECT_EQ(result.shedded, 6u);
-  EXPECT_EQ(f.shedded.load(), 6);
+  EXPECT_EQ(result.admitted, 8u);
+  EXPECT_EQ(result.shedded, 2u);
+  EXPECT_EQ(f.shedded.load(), 2);
   EXPECT_EQ(f.stage->RunQueueLength(0), 4u);
-  EXPECT_EQ(f.stage->RunQueueLength(1), 0u);
-  EXPECT_EQ(f.stage->counters().shedded, 6u);
+  EXPECT_EQ(f.stage->RunQueueLength(1), 4u);
+  EXPECT_EQ(f.stage->counters().shedded, 2u);
 
-  // The admitted FIFO prefix survives in order.
+  // Ring 0 holds ids 0..3 and ring 1 ids 4..7; a helper drains its home
+  // ring first, so either block comes out whole and in order.
   while (f.stage->TryRunOne()) {
   }
-  std::vector<uint64_t> want = {0, 1, 2, 3};
+  ASSERT_EQ(f.handled_ids.size(), 8u);
+  const uint64_t first = f.handled_ids[0];
+  std::vector<uint64_t> want;
+  for (uint64_t i = 0; i < 8; ++i) want.push_back((first + i) % 8);
+  EXPECT_TRUE(first == 0 || first == 4) << first;
   EXPECT_EQ(f.handled_ids, want);
+}
+
+// The configured capacity is the bound, however many rings split it:
+// with eight workers (eight rings of eight slots) and a capacity of 64,
+// one batch of 64 from one submitter, or 64 single submits from one
+// thread, is admitted whole, and the next item sheds.
+TEST(StageShardedTest, QueueCapacityIsTheBoundWhateverTheRingCount) {
+  Stage::Options options;
+  options.num_workers = 8;
+  options.queue_capacity = 64;
+
+  ShardedFixture batched(options);  // Never started: nothing drains.
+  ASSERT_EQ(batched.stage->num_run_queues(), 8u);
+  std::vector<WorkItem> batch = batched.MakeBatch(0, 64);
+  const Stage::BatchResult result =
+      batched.stage->SubmitBatch(batch, /*submitter=*/0);
+  EXPECT_EQ(result.admitted, 64u);
+  EXPECT_EQ(result.shedded, 0u);
+  std::vector<WorkItem> one_more = batched.MakeBatch(64, 1);
+  EXPECT_EQ(batched.stage->SubmitBatch(one_more, /*submitter=*/0).shedded,
+            1u);
+  std::vector<WorkItem> single = batched.MakeBatch(65, 1);
+  EXPECT_EQ(batched.stage->Submit(std::move(single[0])), Outcome::kShedded);
+  EXPECT_EQ(batched.stage->QueueLength(), 64u);
+
+  ShardedFixture singles(options);
+  for (uint64_t id = 0; id < 64; ++id) {
+    std::vector<WorkItem> item = singles.MakeBatch(id, 1);
+    EXPECT_EQ(singles.stage->Submit(std::move(item[0])), Outcome::kCompleted)
+        << "item " << id;
+  }
+  std::vector<WorkItem> past = singles.MakeBatch(64, 1);
+  EXPECT_EQ(singles.stage->Submit(std::move(past[0])), Outcome::kShedded);
+  EXPECT_EQ(singles.stage->QueueLength(), 64u);
+  EXPECT_EQ(singles.shedded.load(), 1);
 }
 
 // TSan target: broker-like threads TryRunOne-steal from every ring while

@@ -11,6 +11,7 @@
 #include "src/core/policy_factory.h"
 #include "src/core/tenant_registry.h"
 #include "src/stats/flight_recorder.h"
+#include "src/stats/metric_registry.h"
 
 namespace bouncer::server {
 namespace {
@@ -145,6 +146,40 @@ TEST(StageTest, SequentialRoundTripsNeverWaitForBackstop) {
   f.stage->Stop();
   EXPECT_EQ(f.completed.load(), submitted);
   EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+// An idle worker parks at once, and each park shows in
+// stage.<name>.worker_parks once the worker is back up (woken by a
+// submit or by the park backstop).
+TEST(StageTest, ParkedWorkerCountsInWorkerParks) {
+  StageFixture f;
+  stats::MetricRegistry metrics;
+  Stage::Options options;
+  options.name = "parks";
+  options.num_workers = 1;
+  options.metrics = &metrics;
+  PolicyConfig config;
+  config.kind = PolicyKind::kAlwaysAccept;
+  Stage stage(
+      options, &f.registry, SystemClock::Global(),
+      [&config](const PolicyContext& context) {
+        return CreatePolicy(config, context);
+      },
+      [&f](WorkItem& item) { f.Handle(item); });
+  ASSERT_TRUE(stage.Start().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (stage.counters().worker_parks == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(stage.counters().worker_parks, 0u);
+  uint64_t published = 0;
+  for (const auto& [name, value] : metrics.Snapshot().counters) {
+    if (name == "stage.parks.worker_parks") published = value;
+  }
+  EXPECT_GT(published, 0u);
+  stage.Stop();
 }
 
 TEST(StageTest, TimestampsAreOrdered) {
